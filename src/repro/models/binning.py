@@ -38,7 +38,9 @@ __all__ = [
     "disable_bin_cache",
     "histogram_cells",
     "histogram_sums",
+    "level_histograms",
     "quantile_bin_edges",
+    "resolve_binned_dataset",
     "seed_bin_cache",
     "shared_binned_dataset",
 ]
@@ -291,10 +293,10 @@ class BinnedDataset:
         """Level-0 ``(cell, unit_histogram)`` over *all* features.
 
         Valid only for split searches whose candidate set is the full
-        ``arange(n_features)`` and whose rows are the full matrix -- the
-        growers fall back to computing their own state otherwise.  Keyed
-        by ``n_bins`` because the two boosting models size their
-        histograms differently (``binner.n_bins`` vs. ``codes.max()+1``).
+        ``arange(n_features)`` and whose rows are the full matrix --
+        :func:`level_histograms` builds its own state otherwise.  Keyed
+        by ``n_bins`` because the two growers size their histograms
+        differently (``binner.n_bins`` vs. ``codes.max()+1``).
         The lock makes concurrent lo/hi member fits build the state once.
         """
         with self._lock:
@@ -311,6 +313,84 @@ class BinnedDataset:
                 cached = (cell, unit)
                 self._root_level[n_bins] = cached
             return cached
+
+
+def level_histograms(
+    codes: np.ndarray,
+    leaf_idx: np.ndarray,
+    gradients: np.ndarray,
+    hessians: np.ndarray,
+    n_leaves: int,
+    n_bins: int,
+    candidate_features: np.ndarray,
+    dataset: Optional[BinnedDataset] = None,
+    counts: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Gradient, Hessian and (optionally) count histograms of one level.
+
+    The one histogram build behind both tree growers -- the depth-wise
+    :func:`repro.models.histtree.grow_histogram_tree` and the oblivious
+    ``ObliviousBoostingRegressor._best_level_split``.  Returns
+    ``(grad, hess, count)``, each ``(n_candidates, n_leaves, n_bins)``;
+    ``count`` is ``None`` unless requested.
+
+    ``dataset`` enables the level-0 cache: when a single leaf is active
+    and the candidates span every column of ``codes`` (which must then be
+    ``dataset.codes``), the cell index and unit-weight histogram come from
+    :meth:`BinnedDataset.root_level`.  With unit Hessians (squared error,
+    pinball) the Hessian histogram doubles as the count histogram, and
+    ``count is hess`` on return.  Every shortcut sums the same floats in
+    the same order, so results are bit-identical to the uncached build.
+    """
+    n_candidates = candidate_features.size
+    unit = None
+    if (
+        dataset is not None
+        and n_leaves == 1
+        and n_candidates == codes.shape[1]
+        and np.array_equal(candidate_features, np.arange(codes.shape[1]))
+    ):
+        cell, unit = dataset.root_level(n_bins)
+    else:
+        cell = histogram_cells(codes, leaf_idx, n_leaves, n_bins, candidate_features)
+    grad = histogram_sums(cell, gradients, n_leaves, n_bins, n_candidates)
+    unit_hessian = bool(np.all(hessians == 1.0))
+    if unit_hessian and unit is not None:
+        hess = unit
+    else:
+        hess = histogram_sums(cell, hessians, n_leaves, n_bins, n_candidates)
+    if not counts:
+        return grad, hess, None
+    if unit_hessian:
+        return grad, hess, hess
+    if unit is None:
+        unit = histogram_sums(
+            cell, np.ones(codes.shape[0]), n_leaves, n_bins, n_candidates
+        )
+    return grad, hess, unit
+
+
+def resolve_binned_dataset(
+    X: np.ndarray, max_bins: int, binned: Optional[BinnedDataset] = None
+) -> BinnedDataset:
+    """The :class:`BinnedDataset` a model fit on ``X`` should train from.
+
+    A caller-supplied ``binned`` (the models' ``fit(..., binned=)`` seam)
+    is validated against ``X`` and ``max_bins`` and returned as-is;
+    otherwise the bundle comes from :func:`shared_binned_dataset`.
+    """
+    if binned is None:
+        return shared_binned_dataset(X, max_bins)
+    if binned.codes.shape != X.shape:
+        raise ValueError(
+            f"binned dataset has shape {binned.codes.shape}, X has {X.shape}"
+        )
+    if binned.max_bins != max_bins:
+        raise ValueError(
+            f"binned dataset was built with max_bins={binned.max_bins}, "
+            f"model wants {max_bins}"
+        )
+    return binned
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.models.base import (
     check_X,
     check_X_y,
 )
-from repro.models.binning import BinnedDataset, shared_binned_dataset
+from repro.models.binning import BinnedDataset, resolve_binned_dataset
 from repro.models.histtree import grow_histogram_tree
 from repro.models.losses import (
     mse_gradient_hessian,
@@ -218,20 +218,7 @@ class GradientBoostingRegressor(BaseRegressor):
 
         n_samples, n_features = X.shape
         if self.tree_method == "hist":
-            if binned is not None:
-                if binned.codes.shape != X.shape:
-                    raise ValueError(
-                        f"binned dataset has shape {binned.codes.shape}, "
-                        f"X has {X.shape}"
-                    )
-                if binned.max_bins != self.max_bins:
-                    raise ValueError(
-                        f"binned dataset was built with max_bins="
-                        f"{binned.max_bins}, model wants {self.max_bins}"
-                    )
-                dataset = binned
-            else:
-                dataset = shared_binned_dataset(X, self.max_bins)
+            dataset = resolve_binned_dataset(X, self.max_bins, binned)
             binner = dataset.binner
             codes = dataset.codes
         else:

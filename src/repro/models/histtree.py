@@ -7,7 +7,12 @@ all leaves of a level processed in one ``np.bincount`` pass (the LightGBM
 this is what makes fitting a 100-tree boosting model interactive instead
 of minutes-long; with ``max_bins`` at least the number of distinct feature
 values it is exactly equivalent to the exact-greedy reference grower,
-which the test suite verifies.
+which the test suite verifies.  It is the only depth-wise histogram
+grower: ``GradientBoostingRegressor(tree_method="hist")`` and
+``DecisionTreeRegressor(splitter="hist")`` both fit through it, and it
+builds its level histograms with the same
+:func:`~repro.models.binning.level_histograms` call as the oblivious
+grower.
 """
 
 from __future__ import annotations
@@ -16,12 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.models.binning import (
-    BinnedDataset,
-    FeatureBinner,
-    histogram_cells,
-    histogram_sums,
-)
+from repro.models.binning import BinnedDataset, FeatureBinner, level_histograms
 from repro.models.tree import GradientTree, TreeGrowthParams, _NodeBuffers
 
 __all__ = ["grow_histogram_tree"]
@@ -109,7 +109,8 @@ def grow_histogram_tree(
         for position, node_id in enumerate(active_nodes):
             buffers.value[node_id] = -grad_leaf[position] / (hess_leaf[position] + lam)
 
-        if depth == params.max_depth:
+        if depth == params.max_depth or n_bins < 2:
+            # n_bins < 2: every column is constant, nothing can split.
             break
 
         # Avoid materialising full-matrix copies while every sample is
@@ -117,61 +118,26 @@ def grow_histogram_tree(
         # the first leaf terminates) -- binned[live] with an all-True
         # mask is the costliest no-op in the grower.
         all_live = bool(live.all())
-        binned_live = binned if all_live else binned[live]
-        slot_live = slot if all_live else slot[live]
-        gradients_live = gradients if all_live else gradients[live]
-        n_live = binned_live.shape[0]
-        unit_hessian = bool(np.all(hessians == 1.0))
-        n_candidates = candidate_features.size
-        root_unit = None
-        if (
-            dataset is not None
-            and depth == 0
-            and all_live
-            and n_candidates == n_features
-            and np.array_equal(candidate_features, np.arange(n_features))
-        ):
-            # Round-invariant level-0 state shared across the whole
-            # boosting run (and across the lo/hi quantile pair).
-            cell, root_unit = dataset.root_level(n_bins)
-        else:
-            cell = histogram_cells(
-                binned_live, slot_live, n_active, n_bins, candidate_features
-            )
-        grad_cells = histogram_sums(
-            cell, gradients_live, n_active, n_bins, n_candidates
+        grad_cells, hess_cells, count_cells = level_histograms(
+            binned if all_live else binned[live],
+            slot if all_live else slot[live],
+            gradients if all_live else gradients[live],
+            hessians if all_live else hessians[live],
+            n_active,
+            n_bins,
+            candidate_features,
+            dataset=dataset,
+            counts=True,
         )
-        if unit_hessian:
-            # Both supported objectives (squared error, pinball) have unit
-            # Hessians, so the Hessian histogram doubles as a sample count.
-            hess_cells = (
-                root_unit
-                if root_unit is not None
-                else histogram_sums(
-                    cell, np.ones(n_live), n_active, n_bins, n_candidates
-                )
-            )
-            count_cells = hess_cells
-        else:
-            hess_cells = histogram_sums(
-                cell,
-                hessians if all_live else hessians[live],
-                n_active,
-                n_bins,
-                n_candidates,
-            )
-            count_cells = (
-                root_unit
-                if root_unit is not None
-                else histogram_sums(
-                    cell, np.ones(n_live), n_active, n_bins, n_candidates
-                )
-            )
 
         grad_left = np.cumsum(grad_cells, axis=2)[:, :, :-1]
         hess_left = np.cumsum(hess_cells, axis=2)[:, :, :-1]
+        # Unit Hessians (both supported objectives) make the Hessian
+        # histogram double as the sample count.
         count_left = (
-            hess_left if unit_hessian else np.cumsum(count_cells, axis=2)[:, :, :-1]
+            hess_left
+            if count_cells is hess_cells
+            else np.cumsum(count_cells, axis=2)[:, :, :-1]
         )
         grad_total = grad_leaf[None, :, None]
         hess_total = hess_leaf[None, :, None]

@@ -35,9 +35,8 @@ from repro.models.base import (
 )
 from repro.models.binning import (
     BinnedDataset,
-    histogram_cells,
-    histogram_sums,
-    shared_binned_dataset,
+    level_histograms,
+    resolve_binned_dataset,
 )
 from repro.models.losses import (
     mse_gradient_hessian,
@@ -184,32 +183,6 @@ class ObliviousBoostingRegressor(BaseRegressor):
         self.random_state = random_state
         self.trees_: Optional[List[ObliviousTree]] = None
 
-    # -- binning -----------------------------------------------------------
-    def _bin_features(
-        self, X: np.ndarray, dataset: Optional[BinnedDataset] = None
-    ) -> BinnedDataset:
-        """Digitise every column into a shared :class:`BinnedDataset`.
-
-        The single binning code path for both boosting models: delegates
-        to :func:`~repro.models.binning.shared_binned_dataset`, so repeat
-        fits on the same matrix (the CQR lo/hi pair, CV folds, grid
-        cells) reuse one binning pass.  A caller-provided ``dataset`` is
-        validated against ``X`` and used as-is.
-        """
-        if dataset is not None:
-            if dataset.codes.shape != X.shape:
-                raise ValueError(
-                    f"binned dataset has shape {dataset.codes.shape}, "
-                    f"X has {X.shape}"
-                )
-            if dataset.max_bins != self.max_bins:
-                raise ValueError(
-                    f"binned dataset was built with max_bins="
-                    f"{dataset.max_bins}, model wants {self.max_bins}"
-                )
-            return dataset
-        return shared_binned_dataset(X, self.max_bins)
-
     def _gradients(self, y: np.ndarray, prediction: np.ndarray):
         if self.quantile is None:
             return mse_gradient_hessian(y, prediction)
@@ -270,12 +243,12 @@ class ObliviousBoostingRegressor(BaseRegressor):
 
         ``n_bins`` is round-invariant (``codes.max() + 1``), so callers
         fitting many rounds pass it in rather than re-scanning the code
-        matrix per level.  ``dataset`` enables the level-0 histogram
-        cache: when the candidates span every column of its codes and a
-        single leaf is active, the cell index (and, for unit Hessians,
-        the Hessian histogram) comes from
-        :meth:`BinnedDataset.root_level` -- bit-identical by
-        construction.
+        matrix per level.  It is deliberately not ``binner.n_bins`` (the
+        depth-wise grower's width): the split-score noise is drawn at the
+        ``(n_candidates, n_bins - 1)`` score shape, so changing it would
+        change every seeded fit.  Histograms come from
+        :func:`~repro.models.binning.level_histograms`, the build shared
+        with the depth-wise grower; ``dataset`` enables its level-0 cache.
         """
         lam = self.l2_leaf_reg
         if n_bins is None:
@@ -283,25 +256,10 @@ class ObliviousBoostingRegressor(BaseRegressor):
         best_feature, best_bin, best_score = -1, -1, -np.inf
 
         n_candidates = candidate_features.size
-        root_unit = None
-        if (
-            dataset is not None
-            and n_leaves == 1
-            and n_candidates == binned.shape[1]
-            and np.array_equal(candidate_features, np.arange(binned.shape[1]))
-        ):
-            cell, root_unit = dataset.root_level(n_bins)
-        else:
-            cell = histogram_cells(
-                binned, leaf_idx, n_leaves, n_bins, candidate_features
-            )
-        grad_cells = histogram_sums(cell, gradients, n_leaves, n_bins, n_candidates)
-        if root_unit is not None and bool(np.all(hessians == 1.0)):
-            hess_cells = root_unit
-        else:
-            hess_cells = histogram_sums(
-                cell, hessians, n_leaves, n_bins, n_candidates
-            )
+        grad_cells, hess_cells, _ = level_histograms(
+            binned, leaf_idx, gradients, hessians, n_leaves, n_bins,
+            candidate_features, dataset=dataset,
+        )
 
         grad_left = np.cumsum(grad_cells, axis=2)[:, :, :-1]
         hess_left = np.cumsum(hess_cells, axis=2)[:, :, :-1]
@@ -371,7 +329,7 @@ class ObliviousBoostingRegressor(BaseRegressor):
         X, y = check_X_y(X, y)
         self.n_features_in_ = X.shape[1]
         rng = check_random_state(self.random_state)
-        dataset = self._bin_features(X, dataset=binned)
+        dataset = resolve_binned_dataset(X, self.max_bins, binned)
         binned = dataset.codes
         edges = dataset.binner.edges_
         n_bins = dataset.codes_max + 1

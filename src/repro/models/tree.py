@@ -11,14 +11,16 @@ This is the shared tree machinery underneath both boosting models:
           + \\frac{G_R^2}{H_R+\\lambda}
           - \\frac{(G_L+G_R)^2}{H_L+H_R+\\lambda}\\Big] - \\gamma,
 
-  with Newton-optimal leaf values :math:`w = -G/(H+\\lambda)`.  Two split
-  finders are available: :meth:`GradientTree.fit_gradients` scans every
-  candidate boundary exactly with one batched prefix-sum pass over all
-  features at once, and :meth:`GradientTree.fit_binned` scans a pre-binned
-  integer code matrix (see :mod:`repro.models.binning`) with one histogram
-  + cumulative-sum pass per node.  Both finders break gain ties
-  deterministically (lowest feature position, then lowest boundary), so a
-  fit is bit-identical across runs and across ``n_jobs`` settings.
+  with Newton-optimal leaf values :math:`w = -G/(H+\\lambda)`.
+  :meth:`GradientTree.fit_gradients` is the exact greedy grower: it scans
+  every candidate boundary with one batched prefix-sum pass over all
+  features at once, breaking gain ties deterministically (lowest feature
+  position, then lowest boundary), so a fit is bit-identical across runs
+  and across ``n_jobs`` settings.  It backs ``tree_method="exact"`` /
+  ``splitter="exact"`` and is the reference the histogram grower is
+  tested against.  Histogram growth lives in one place,
+  :func:`repro.models.histtree.grow_histogram_tree`, which returns a
+  :class:`GradientTree` too.
 
 * :class:`DecisionTreeRegressor` is the stand-alone estimator: fitting a
   single gradient tree to the squared loss from a zero base score makes
@@ -104,65 +106,6 @@ class _NodeBuffers:
         return len(self.feature) - 1
 
 
-def _best_split_for_feature(
-    values: np.ndarray,
-    gradients: np.ndarray,
-    hessians: np.ndarray,
-    params: TreeGrowthParams,
-) -> Tuple[float, float]:
-    """Return (gain, threshold) of the best split on one feature column.
-
-    Legacy *reference* finder: sort by feature value, take prefix sums of
-    gradients/Hessians, and evaluate the gain at every boundary between
-    distinct values.  Returns ``(-inf, nan)`` when no admissible split
-    exists.  Production growth goes through the batched
-    :func:`_best_split_all_features` scan instead; this single-column
-    version is kept as the ground truth the equivalence tests compare
-    against.
-    """
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    grad_prefix = np.cumsum(gradients[order])
-    hess_prefix = np.cumsum(hessians[order])
-    total_grad = grad_prefix[-1]
-    total_hess = hess_prefix[-1]
-    n = values.shape[0]
-
-    # Candidate split after position i keeps samples [0..i] on the left.
-    positions = np.arange(n - 1)
-    distinct = sorted_values[positions] < sorted_values[positions + 1]
-    left_count = positions + 1
-    right_count = n - left_count
-    admissible = (
-        distinct
-        & (left_count >= params.min_samples_leaf)
-        & (right_count >= params.min_samples_leaf)
-    )
-    if not np.any(admissible):
-        return -np.inf, float("nan")
-
-    g_left = grad_prefix[positions]
-    h_left = hess_prefix[positions]
-    g_right = total_grad - g_left
-    h_right = total_hess - h_left
-    admissible &= (h_left >= params.min_child_weight) & (
-        h_right >= params.min_child_weight
-    )
-    if not np.any(admissible):
-        return -np.inf, float("nan")
-
-    lam = params.reg_lambda
-    gain = 0.5 * (
-        g_left**2 / (h_left + lam)
-        + g_right**2 / (h_right + lam)
-        - total_grad**2 / (total_hess + lam)
-    )
-    gain = np.where(admissible, gain, -np.inf)
-    best = int(np.argmax(gain))
-    threshold = 0.5 * (sorted_values[best] + sorted_values[best + 1])
-    return float(gain[best]), threshold
-
-
 def _node_view(
     columns: np.ndarray,
     gradients: np.ndarray,
@@ -191,11 +134,12 @@ def _best_split_all_features(
     Batched exact greedy: one ``argsort`` + ``take_along_axis`` +
     ``cumsum`` pass over the whole ``(n_node, n_features)`` block replaces
     the per-feature Python loop.  Column-wise the arithmetic is the exact
-    sequence :func:`_best_split_for_feature` performs, so gains are
-    bit-identical to the reference finder; the flat feature-major
-    ``argmax`` reproduces its deterministic tie-breaking (lowest feature
-    position wins, then the lowest boundary).  Returns
-    ``(-inf, -1, nan)`` when no admissible split exists.
+    sequence of the legacy per-feature scan (kept as the parity oracle in
+    ``tests/test_perf_equivalence.py``), so gains are bit-identical to
+    it; the flat feature-major ``argmax`` reproduces its deterministic
+    tie-breaking (lowest feature position wins, then the lowest
+    boundary).  Returns ``(-inf, -1, nan)`` when no admissible split
+    exists.
     """
     n, n_features = node_columns.shape
     if n < 2:
@@ -242,66 +186,6 @@ def _best_split_all_features(
         + sorted_values[boundary + 1, feature_pos]
     )
     return float(gain[boundary, feature_pos]), int(feature_pos), float(threshold)
-
-
-def _best_split_binned(
-    node_codes: np.ndarray,
-    gradients: np.ndarray,
-    hessians: np.ndarray,
-    n_bins: int,
-    params: TreeGrowthParams,
-) -> Tuple[float, int, int]:
-    """Best (gain, feature position, bin) on pre-binned integer codes.
-
-    One histogram accumulation (shared with
-    :func:`repro.models.binning.histogram_sums`) followed by one
-    cumulative-sum scan across bins evaluates every (feature, boundary)
-    candidate of the node simultaneously.  Splitting at bin ``b`` sends
-    codes ``<= b`` left.  Ties break on the flat feature-major ``argmax``
-    (lowest feature position, then lowest bin), matching the exact
-    finders.  Returns ``(-inf, -1, -1)`` when no admissible split exists.
-    """
-    from repro.models.binning import histogram_cells, histogram_sums
-
-    n, n_features = node_codes.shape
-    if n < 2 or n_bins < 2:
-        return -np.inf, -1, -1
-    one_leaf = np.zeros(n, dtype=np.int64)
-    all_columns = np.arange(n_features)
-    cell = histogram_cells(node_codes, one_leaf, 1, n_bins, all_columns)
-    grad_cells = histogram_sums(cell, gradients, 1, n_bins, n_features)[:, 0, :]
-    hess_cells = histogram_sums(cell, hessians, 1, n_bins, n_features)[:, 0, :]
-    count_cells = histogram_sums(cell, np.ones(n), 1, n_bins, n_features)[:, 0, :]
-
-    g_left = np.cumsum(grad_cells, axis=1)[:, :-1]
-    h_left = np.cumsum(hess_cells, axis=1)[:, :-1]
-    count_left = np.cumsum(count_cells, axis=1)[:, :-1]
-    total_grad = grad_cells.sum(axis=1, keepdims=True)
-    total_hess = hess_cells.sum(axis=1, keepdims=True)
-    count_right = n - count_left
-    g_right = total_grad - g_left
-    h_right = total_hess - h_left
-
-    admissible = (
-        (count_left >= params.min_samples_leaf)
-        & (count_right >= params.min_samples_leaf)
-        & (h_left >= params.min_child_weight)
-        & (h_right >= params.min_child_weight)
-    )
-    if not np.any(admissible):
-        return -np.inf, -1, -1
-
-    lam = params.reg_lambda
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = 0.5 * (
-            g_left**2 / (h_left + lam)
-            + g_right**2 / (h_right + lam)
-            - total_grad**2 / (total_hess + lam)
-        )
-    gain = np.where(admissible, gain, -np.inf)
-    flat = int(np.argmax(gain))
-    feature_pos, bin_index = divmod(flat, n_bins - 1)
-    return float(gain[feature_pos, bin_index]), int(feature_pos), int(bin_index)
 
 
 class GradientTree:
@@ -424,62 +308,6 @@ class GradientTree:
         self.n_features_in_ = int(X.shape[1])
         return self
 
-    def fit_binned(
-        self,
-        binned: np.ndarray,
-        binner,
-        gradients: np.ndarray,
-        hessians: np.ndarray,
-        feature_indices: Optional[np.ndarray] = None,
-    ) -> "GradientTree":
-        """Grow the tree on a pre-binned integer code matrix.
-
-        ``binned`` holds bin codes from ``binner.transform`` (computed
-        once per boosting run and sliced per node here); ``binner`` is the
-        fitted :class:`~repro.models.binning.FeatureBinner` that maps
-        chosen bin boundaries back to raw-unit thresholds, so the fitted
-        tree predicts directly on raw feature matrices.  Split search is
-        one histogram + cumulative-sum scan per node over all candidate
-        features (:func:`_best_split_binned`); with ``max_bins`` at least
-        the number of distinct values per feature it is exactly
-        equivalent to :meth:`fit_gradients`.
-        """
-        binned = np.asarray(binned)
-        gradients = np.asarray(gradients, dtype=np.float64)
-        hessians = np.asarray(hessians, dtype=np.float64)
-        if binned.ndim != 2:
-            raise ValueError(f"binned must be 2-D, got shape {binned.shape}")
-        if gradients.shape != (binned.shape[0],) or hessians.shape != (
-            binned.shape[0],
-        ):
-            raise ValueError(
-                "gradients/hessians must be 1-D with len(binned) entries"
-            )
-        if feature_indices is None:
-            feature_indices = np.arange(binned.shape[1])
-        feature_indices = np.asarray(feature_indices, dtype=np.int64)
-        self._columns = binned if feature_indices.size == binned.shape[1] and bool(
-            np.all(feature_indices == np.arange(binned.shape[1]))
-        ) else np.ascontiguousarray(binned[:, feature_indices])
-        n_bins = binner.n_bins
-        params = self.params
-
-        def find_split(node_codes, node_grad, node_hess):
-            gain, feature_pos, bin_index = _best_split_binned(
-                node_codes, node_grad, node_hess, n_bins, params
-            )
-            if feature_pos < 0:
-                return gain, _LEAF, float("nan"), np.empty(0, dtype=bool)
-            feature = int(feature_indices[feature_pos])
-            threshold = binner.threshold(feature, bin_index)
-            goes_left = node_codes[:, feature_pos] <= bin_index
-            return gain, feature, threshold, goes_left
-
-        self._grow(binned.shape[0], gradients, hessians, find_split)
-        del self._columns
-        self.n_features_in_ = int(binned.shape[1])
-        return self
-
     # -- prediction --------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf value for every row of ``X``.
@@ -546,9 +374,10 @@ class DecisionTreeRegressor(BaseRegressor):
 
     ``splitter="exact"`` (default) scans every boundary between distinct
     values; ``splitter="hist"`` pre-bins each column into at most
-    ``max_bins`` quantile bins and scans bin boundaries instead -- far
-    faster on wide or long data, and exactly equivalent whenever columns
-    have fewer than ``max_bins`` distinct values.
+    ``max_bins`` quantile bins and grows through
+    :func:`~repro.models.histtree.grow_histogram_tree` -- far faster on
+    wide or long data, and exactly equivalent whenever columns have
+    fewer than ``max_bins`` distinct values.
     """
 
     def __init__(
@@ -580,14 +409,17 @@ class DecisionTreeRegressor(BaseRegressor):
             reg_lambda=0.0,
             gamma=self.min_gain,
         )
-        tree = GradientTree(params)
         if self.splitter == "hist":
             from repro.models.binning import shared_binned_dataset
+            from repro.models.histtree import grow_histogram_tree
 
             dataset = shared_binned_dataset(X, self.max_bins)
-            tree.fit_binned(dataset.codes, dataset.binner, -y, np.ones_like(y))
+            tree = grow_histogram_tree(
+                dataset.codes, dataset.binner, -y, np.ones_like(y), params,
+                feature_shortlist=None, dataset=dataset,
+            )
         else:
-            tree.fit_gradients(X, -y, np.ones_like(y))
+            tree = GradientTree(params).fit_gradients(X, -y, np.ones_like(y))
         self.tree_ = tree
         return self
 

@@ -3,12 +3,15 @@
 Three contracts, each load-bearing for the perf work staying honest:
 
 * the batched exact finder grows *identical* trees to the legacy
-  per-feature reference scan,
-* the histogram (binned) finder matches the exact finder's training
-  predictions to 1e-12 on randomised fixtures and its full structure on
-  shallow fixed-seed fixtures (thresholds agree up to bin edges, so test
-  routing between bin edge and exact midpoint may differ -- training
-  partitions cannot),
+  per-feature reference scan, which lives here as the test oracle
+  (:func:`_best_split_for_feature`) rather than in ``src/``,
+* the histogram grower (:func:`repro.models.histtree.grow_histogram_tree`,
+  the one histogram path behind GBM ``tree_method="hist"`` and
+  ``DecisionTreeRegressor(splitter="hist")``) matches the exact grower's
+  training predictions to 1e-12 on randomised fixtures and its full
+  split structure on shallow fixed-seed fixtures (thresholds agree up
+  to bin edges, so test routing between bin edge and exact midpoint may
+  differ -- training partitions cannot),
 * cross-validation harnesses return bit-identical results for every
   ``n_jobs``.
 
@@ -28,6 +31,7 @@ from repro.eval.crossval import (
 )
 from repro.models import tree as tree_mod
 from repro.models.binning import FeatureBinner
+from repro.models.histtree import grow_histogram_tree
 from repro.models.linear import LinearRegression, QuantileLinearRegression
 from repro.models.quantile import QuantileBandRegressor
 from repro.models.tree import (
@@ -35,7 +39,6 @@ from repro.models.tree import (
     GradientTree,
     TreeGrowthParams,
     _best_split_all_features,
-    _best_split_for_feature,
 )
 
 
@@ -47,6 +50,59 @@ def _random_problem(seed, n=80, n_features=6, duplicates=False):
     gradients = rng.normal(size=n)
     hessians = np.ones(n)
     return X, gradients, hessians
+
+
+def _best_split_for_feature(values, gradients, hessians, params):
+    """Return (gain, threshold) of the best split on one feature column.
+
+    Legacy *reference* finder: sort by feature value, take prefix sums of
+    gradients/Hessians, and evaluate the gain at every boundary between
+    distinct values.  Returns ``(-inf, nan)`` when no admissible split
+    exists.  Production growth goes through the batched
+    ``_best_split_all_features`` scan; this single-column version is the
+    ground truth it is compared against.
+    """
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    grad_prefix = np.cumsum(gradients[order])
+    hess_prefix = np.cumsum(hessians[order])
+    total_grad = grad_prefix[-1]
+    total_hess = hess_prefix[-1]
+    n = values.shape[0]
+
+    # Candidate split after position i keeps samples [0..i] on the left.
+    positions = np.arange(n - 1)
+    distinct = sorted_values[positions] < sorted_values[positions + 1]
+    left_count = positions + 1
+    right_count = n - left_count
+    admissible = (
+        distinct
+        & (left_count >= params.min_samples_leaf)
+        & (right_count >= params.min_samples_leaf)
+    )
+    if not np.any(admissible):
+        return -np.inf, float("nan")
+
+    g_left = grad_prefix[positions]
+    h_left = hess_prefix[positions]
+    g_right = total_grad - g_left
+    h_right = total_hess - h_left
+    admissible &= (h_left >= params.min_child_weight) & (
+        h_right >= params.min_child_weight
+    )
+    if not np.any(admissible):
+        return -np.inf, float("nan")
+
+    lam = params.reg_lambda
+    gain = 0.5 * (
+        g_left**2 / (h_left + lam)
+        + g_right**2 / (h_right + lam)
+        - total_grad**2 / (total_hess + lam)
+    )
+    gain = np.where(admissible, gain, -np.inf)
+    best = int(np.argmax(gain))
+    threshold = 0.5 * (sorted_values[best] + sorted_values[best + 1])
+    return float(gain[best]), threshold
 
 
 def _legacy_fit(X, gradients, hessians, params):
@@ -111,16 +167,43 @@ class TestBatchedExactEquivalence:
 # histogram finder vs exact finder
 # ---------------------------------------------------------------------------
 
+def _grow_hist(X, gradients, hessians, params):
+    binner = FeatureBinner(max_bins=256)
+    return grow_histogram_tree(
+        binner.fit_transform(X), binner, gradients, hessians, params
+    )
+
+
+def _preorder_splits(tree, X):
+    """Canonical pre-order walk: ``(feature, rows sent left)`` per split.
+
+    Independent of node numbering (the histogram grower numbers nodes
+    level by level, the exact grower depth-first) and of where inside
+    the gap between two training values a threshold sits (bin edge vs
+    node-local midpoint).  Leaves appear as ``(-1, rows)``.
+    """
+    walk = []
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        feature = int(tree.feature_[node])
+        if feature < 0:
+            walk.append((-1, tuple(rows.tolist())))
+            continue
+        goes_left = X[rows, feature] <= tree.threshold_[node]
+        walk.append((feature, tuple(rows[goes_left].tolist())))
+        stack.append((tree.right_[node], rows[~goes_left]))
+        stack.append((tree.left_[node], rows[goes_left]))
+    return walk
+
+
 class TestBinnedEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_training_predictions_match(self, seed):
         X, gradients, hessians = _random_problem(seed, n=120)
         params = TreeGrowthParams(max_depth=5, min_samples_leaf=2)
         exact = GradientTree(params).fit_gradients(X, gradients, hessians)
-        binner = FeatureBinner(max_bins=256)
-        hist = GradientTree(params).fit_binned(
-            binner.fit_transform(X), binner, gradients, hessians
-        )
+        hist = _grow_hist(X, gradients, hessians, params)
         # With >= one bin per distinct value the partitions are identical;
         # last-ulp gain ties may pick a different but equivalent split, so
         # the contract is on training predictions, not node layout.
@@ -129,23 +212,19 @@ class TestBinnedEquivalence:
         )
 
     def test_shallow_structure_identical(self):
-        # Shallow + well-separated data: structure matches exactly too
-        # (the tests/test_histtree.py convention).
+        # Shallow + well-separated data: the split structure matches
+        # exactly too (the tests/test_histtree.py convention).
         X, gradients, hessians = _random_problem(2024, n=64, n_features=4)
         params = TreeGrowthParams(max_depth=3, min_samples_leaf=2)
         exact = GradientTree(params).fit_gradients(X, gradients, hessians)
-        binner = FeatureBinner(max_bins=256)
-        hist = GradientTree(params).fit_binned(
-            binner.fit_transform(X), binner, gradients, hessians
+        hist = _grow_hist(X, gradients, hessians, params)
+        assert _preorder_splits(hist, X) == _preorder_splits(exact, X)
+        # Same partition, so leaf values differ only by summation order:
+        # the histogram grower sums a level's leaves in one bincount,
+        # the exact grower uses numpy's pairwise sum per node.
+        np.testing.assert_allclose(
+            hist.predict(X), exact.predict(X), rtol=0.0, atol=1e-12
         )
-        np.testing.assert_array_equal(hist.feature_, exact.feature_)
-        np.testing.assert_array_equal(hist.left_, exact.left_)
-        np.testing.assert_array_equal(hist.right_, exact.right_)
-        # Thresholds agree "up to bin edges": the stored cut points differ
-        # (bin edge vs node-local midpoint) but every training row lands
-        # in the same leaf, so leaf values -- and therefore training
-        # predictions -- are bit-identical.
-        np.testing.assert_array_equal(hist.predict(X), exact.predict(X))
 
     def test_decision_tree_splitter_equivalence(self, linear_data):
         X, y, _, _ = linear_data
@@ -184,24 +263,6 @@ class TestNodeSlicingRegression:
         # features, the historical per-feature slicing would have made
         # ~5x as many.
         assert len(calls) == tree.n_nodes
-
-    def test_reference_finder_not_used_in_production_fit(self, monkeypatch):
-        X, gradients, hessians = _random_problem(1)
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError(
-                "_best_split_for_feature is the legacy reference; "
-                "production fits must use the batched finders"
-            )
-
-        monkeypatch.setattr(tree_mod, "_best_split_for_feature", forbidden)
-        GradientTree(TreeGrowthParams(max_depth=4)).fit_gradients(
-            X, gradients, hessians
-        )
-        binner = FeatureBinner(max_bins=32)
-        GradientTree(TreeGrowthParams(max_depth=4)).fit_binned(
-            binner.fit_transform(X), binner, gradients, hessians
-        )
 
 
 # ---------------------------------------------------------------------------

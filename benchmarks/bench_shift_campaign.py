@@ -7,19 +7,18 @@ sensor recalibration) -- and writes
 ``benchmarks/results/BENCH_shift.json`` (see :mod:`repro.perf.bench`
 for the schema) with:
 
-* the campaign wall time plus per-phase coverage, alarms, detection
-  latency, repair path, and effective sample size as timing metadata,
-* the audited invariants as named checks: a quiet control phase at
-  nominal coverage, both sentinels firing on the new fab within the
-  latency budget, the weighted repair accepted with adequate ESS, the
-  drift phase recovered by the adaptive recalibrator, the degenerate
-  sensor-recal repair *refused* (and recovered by refit), and the
-  service ending the campaign ``READY``.
+* the campaign wall time, and per phase its own measured wall time plus
+  the report row (coverage, alarms, detection latency, repair path,
+  effective sample size) as timing metadata,
+* the report's campaign metrics and downgrade reason codes,
+* the report's named checks verbatim (see
+  :func:`~repro.eval.stress.run_shift_campaign` for their meaning), plus
+  ``campaign_ok`` -- their conjunction, ``report.ok()``.
 
 The campaign protocol is fixed at its committed operating point for
 every ``REPRO_BENCH`` profile -- the invariants are tuned detection /
 repair thresholds, not throughput knobs, so scaling the models would
-change what is being asserted.  Wall time varies run to run; the
+change what is being asserted.  Wall times vary run to run; the
 checks are the contract and are asserted.
 """
 
@@ -41,78 +40,20 @@ def test_shift_campaign(tmp_path):
         "shift_campaign",
         lambda: run_shift_campaign(tmp_path / "registry", seed=BENCH_SEED),
     )
-    for phase in report.phases:
-        recorder.record(
-            f"phase_{phase.phase}",
-            recorder.wall_s("shift_campaign"),
-            n_lots=phase.n_lots,
-            coverage=phase.coverage,
-            mean_width_v=phase.mean_width,
-            exchangeability_alarm=phase.exchangeability_alarm,
-            covariate_alarm=phase.covariate_alarm,
-            detection_latency=phase.detection_latency,
-            repair=phase.repair,
-            ess=phase.ess,
-            post_repair_coverage=phase.post_repair_coverage,
-            state=phase.state,
-        )
+    for name, row in report.rows.items():
+        recorder.record(f"phase_{name}", report.wall_s[name], **row)
     recorder.record(
         "shift_metrics",
         recorder.wall_s("shift_campaign"),
-        target_coverage=report.target_coverage,
-        tolerance=report.tolerance,
-        detection_budget=report.detection_budget,
-        n_recalibrations=report.n_recalibrations,
-        n_versions=report.n_versions,
+        **report.metrics,
         downgrade_reasons=[reason for reason, _ in report.downgrades],
-        final_state=report.final_state,
     )
-
-    floor = report.target_coverage - report.tolerance
-    control = report.phase("control")
-    new_fab = report.phase("new_fab")
-    drift = report.phase("corner_drift")
-    recal = report.phase("sensor_recal")
-    recorder.check(
-        "control_quiet",
-        not control.exchangeability_alarm and not control.covariate_alarm,
-    )
-    recorder.check("control_coverage_nominal", control.coverage >= floor)
-    recorder.check(
-        "new_fab_detected_in_budget",
-        new_fab.exchangeability_alarm
-        and new_fab.covariate_alarm
-        and new_fab.detection_latency is not None
-        and new_fab.detection_latency <= report.detection_budget,
-    )
-    recorder.check(
-        "new_fab_weighted_repair",
-        new_fab.repair == "weighted"
-        and new_fab.ess is not None
-        and new_fab.post_repair_coverage is not None
-        and new_fab.post_repair_coverage >= floor,
-    )
-    recorder.check(
-        "drift_adaptive_repair",
-        drift.repair == "adaptive"
-        and drift.post_repair_coverage is not None
-        and drift.post_repair_coverage >= floor,
-    )
-    recorder.check(
-        "recal_refused_then_refit",
-        recal.repair == "refused+refit"
-        and recal.post_repair_coverage is not None
-        and recal.post_repair_coverage >= floor,
-    )
-    recorder.check(
-        "all_downgrades_audited",
-        all(reason for reason, _ in report.downgrades),
-    )
-    recorder.check("ends_ready", report.final_state == "ready")
+    for name, held in report.checks.items():
+        recorder.check(name, held)
     recorder.check("campaign_ok", report.ok())
 
     path = recorder.write(REPORT_PATH)
     publish("shift_campaign", report.to_table())
     print(f"wrote {path}")
 
-    assert report.ok(), report.to_table()
+    assert report.ok(), f"failed checks: {report.failed()}\n{report.to_table()}"

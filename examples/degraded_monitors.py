@@ -26,7 +26,7 @@ import argparse
 import numpy as np
 
 from repro import FaultCampaign, RobustVminFlow
-from repro.eval import run_fault_campaign
+from repro.eval import run_fault_campaign, worst_coverage
 from repro.models import ObliviousBoostingRegressor
 from repro.robust import DeadSensors, FaultScenario
 from repro.silicon import SiliconDataset
@@ -125,9 +125,11 @@ def main() -> None:
     report = run_fault_campaign(flow, X_test, y_test, campaign)
     print()
     print(report.to_table(title="Fault campaign | 25C / 0h holdout"))
+    dead_drop = report.metrics["nominal_coverage"] - worst_coverage(
+        report, "dead_sensors"
+    )
     print(
-        f"worst dead-sensor coverage drop: "
-        f"{report.coverage_drop('dead_sensors')*100:+.1f} points vs nominal"
+        f"worst dead-sensor coverage drop: {dead_drop*100:+.1f} points vs nominal"
     )
 
     # ------------------------------------------------------------------

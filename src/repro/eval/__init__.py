@@ -23,7 +23,10 @@ artifact corruption, SIGKILLed workers, and covariate drift.
 (:mod:`repro.shift` sentinels, weighted conformal repair, per-zone
 monitors) through a multi-fab fleet: a new-fab process corner, a
 calendar-time corner drift, and a sensor re-referencing -- see
-``docs/SHIFT.md``.
+``docs/SHIFT.md``.  All four campaigns return one
+:class:`CampaignReport`: per-scenario or per-phase rows, scalar metrics,
+and an ordered set of named checks whose conjunction is
+``report.ok()`` (``report.failed()`` names the checks that broke).
 """
 
 from repro.eval.diagnostics import (
@@ -61,23 +64,17 @@ from repro.eval.experiments import (
 )
 from repro.eval.reporting import format_series, format_table, write_report
 from repro.eval.stress import (
-    ExecutionStressReport,
-    ExecutionStressResult,
-    ServingStressReport,
-    ShiftPhaseResult,
-    ShiftStressReport,
-    StressReport,
-    StressResult,
+    CampaignReport,
     run_execution_campaign,
     run_fault_campaign,
     run_serving_campaign,
     run_shift_campaign,
+    worst_coverage,
 )
 
 __all__ = [
+    "CampaignReport",
     "CoverageReport",
-    "ExecutionStressReport",
-    "ExecutionStressResult",
     "ExperimentProfile",
     "FailureRecord",
     "FeatureSet",
@@ -87,11 +84,6 @@ __all__ = [
     "POINT_MODEL_NAMES",
     "PointCVResult",
     "REGION_METHOD_NAMES",
-    "ServingStressReport",
-    "ShiftPhaseResult",
-    "ShiftStressReport",
-    "StressReport",
-    "StressResult",
     "coverage_width_criterion",
     "cross_validate_intervals",
     "cross_validate_point",
@@ -113,5 +105,6 @@ __all__ = [
     "run_region_grid",
     "run_serving_campaign",
     "run_shift_campaign",
+    "worst_coverage",
     "write_report",
 ]

@@ -4,30 +4,36 @@ The robustness claim of :mod:`repro.robust` is quantitative: under a
 given fault campaign the served intervals should lose *bounded* coverage
 relative to the clean baseline, paying for damage with width (inflation,
 fallback) rather than with silent under-coverage.  This module measures
-exactly that.  :func:`run_fault_campaign` serves one held-out lot through
-a fitted :class:`~repro.robust.flow.RobustVminFlow` once clean and once
-per fault scenario, and the resulting :class:`StressReport` tabulates
-coverage, width, status, and inflation per scenario -- the robustness
-analogue of the paper's Table III.
+exactly that, in four campaigns that all return one report type,
+:class:`CampaignReport`:
 
-The second campaign mode targets the *execution* layer rather than the
-data: :func:`run_execution_campaign` runs a small experiment grid once
-clean, then once per :class:`~repro.robust.faults.ExecutionFault`
-scenario with workers crashing or hanging mid-grid, and asserts that
-the runtime (:mod:`repro.runtime`: retries, watchdog timeouts, requeue)
-recovers every cell with results bit-identical to the clean run.
+* :func:`run_fault_campaign` serves one held-out lot through a fitted
+  :class:`~repro.robust.flow.RobustVminFlow` once clean and once per
+  fault scenario, one row per scenario -- the robustness analogue of
+  the paper's Table III;
+* :func:`run_execution_campaign` runs a small experiment grid once
+  clean, then once per :class:`~repro.robust.faults.ExecutionFault`
+  scenario with workers crashing or hanging mid-grid, and checks that
+  the runtime (:mod:`repro.runtime`: retries, watchdog timeouts,
+  requeue) recovers every cell with results bit-identical to the clean
+  run;
+* :func:`run_serving_campaign` stands up a full
+  :class:`~repro.serve.service.VminServingService` against a real
+  on-disk registry and drives it through the faults a deployment
+  actually meets -- a SIGKILLed scoring worker, transient crashes, a
+  hot-swap under concurrent load, drift that must trigger online
+  recalibration, and an artifact corrupted on disk that must be
+  quarantined and rolled back;
+* :func:`run_shift_campaign` drives a guarded serving stack through a
+  new fab, a calendar-time corner drift and a sensor re-referencing.
 
-The third mode is the serving soak: :func:`run_serving_campaign` stands
-up a full :class:`~repro.serve.service.VminServingService` against a
-real on-disk registry and drives it through the faults a deployment
-actually meets -- a scoring worker SIGKILLed mid-request, transient
-in-process crashes, a hot-swap under concurrent load, covariate drift
-that must trigger online recalibration and republication, and an
-artifact corrupted on disk that must be quarantined and rolled back --
-then audits the invariants: no unverified artifact ever served, zero
-requests dropped across hot-swaps, every downgrade carrying a reason
-code, empirical coverage within tolerance, and the service ending the
-campaign ``READY``.
+Pass/fail is a set of **named checks**: each campaign evaluates its
+invariants where it holds the data and stores them, in order, in
+``report.checks``.  ``report.ok()`` is their conjunction and
+``report.failed()`` names the ones that did not hold, so a failing
+campaign says *which* invariant broke.  Benchmarks record
+``report.checks`` and ``report.metrics`` verbatim instead of
+re-deriving them.
 """
 
 from __future__ import annotations
@@ -35,9 +41,10 @@ from __future__ import annotations
 import os
 import signal
 import threading
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,126 +60,125 @@ from repro.runtime.retry import RetryPolicy
 from repro.runtime.watchdog import run_in_subprocess
 
 __all__ = [
-    "ExecutionStressReport",
-    "ExecutionStressResult",
-    "ServingStressReport",
-    "ShiftPhaseResult",
-    "ShiftStressReport",
-    "StressReport",
-    "StressResult",
+    "CampaignReport",
     "run_execution_campaign",
     "run_fault_campaign",
     "run_serving_campaign",
     "run_shift_campaign",
+    "worst_coverage",
 ]
 
 
+def _cell(value: Any) -> Any:
+    """One table cell: booleans as yes/no, missing values as ``-``."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return "-" if value is None else value
+
+
 @dataclass(frozen=True)
-class StressResult:
-    """Outcome of serving one fault scenario.
+class CampaignReport:
+    """Outcome of one stress campaign: rows, metrics and named checks.
 
     Attributes
     ----------
-    scenario, severity:
-        Scenario identity (from the :class:`~repro.robust.faults.FaultScenario`).
-    coverage, mean_width:
-        Empirical coverage and average interval length (V) of the
-        served intervals on the faulted batch.
-    status:
-        Served :class:`~repro.robust.fallback.DegradationStatus` value.
-    inflation:
-        Width multiplier the degradation policy charged.
-    used_fallback:
-        Whether the fallback model produced the band.
-    unhealthy_fraction:
-        Fraction of feature columns the guard flagged unhealthy.
+    title:
+        Heading of :meth:`to_table`.
+    rows:
+        One entry per scenario or phase, in campaign order: row name ->
+        column name -> value.
+    metrics:
+        Campaign-level scalars (counts, coverage, latency, end state).
+    checks:
+        The campaign's invariants in evaluation order: check name ->
+        whether it held.  A campaign with nothing to assert has none.
+    downgrades:
+        Every audited quality-loss event as ``(reason_code, detail)``
+        pairs, in the order the service recorded them.
+    wall_s:
+        Measured wall time (s) per row, for campaigns that time their
+        rows.  Excluded from equality: a seeded campaign reproduces its
+        report bit for bit, but not its timings.
     """
 
-    scenario: str
-    severity: float
-    coverage: float
-    mean_width: float
-    status: str
-    inflation: float
-    used_fallback: bool
-    unhealthy_fraction: float
+    title: str
+    rows: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
+    metrics: Mapping[str, Any] = field(default_factory=dict)
+    checks: Mapping[str, bool] = field(default_factory=dict)
+    downgrades: Tuple[Tuple[str, str], ...] = ()
+    wall_s: Mapping[str, float] = field(default_factory=dict, compare=False)
 
+    def ok(self) -> bool:
+        """Whether every named check held."""
+        return all(self.checks.values())
 
-@dataclass(frozen=True)
-class StressReport:
-    """Clean baseline plus per-scenario stress results.
-
-    ``nominal_coverage`` / ``nominal_width`` come from serving the same
-    batch with no faults injected; every :class:`StressResult` is read
-    against them.
-    """
-
-    nominal_coverage: float
-    nominal_width: float
-    results: Tuple[StressResult, ...]
-
-    def worst_coverage(self, scenario_prefix: Optional[str] = None) -> float:
-        """Lowest served coverage, optionally restricted to scenarios
-        whose name starts with ``scenario_prefix``."""
-        selected = [
-            r.coverage
-            for r in self.results
-            if scenario_prefix is None or r.scenario.startswith(scenario_prefix)
-        ]
-        if not selected:
-            raise ValueError(
-                f"no scenario matches prefix {scenario_prefix!r}"
-            )
-        return float(min(selected))
-
-    def coverage_drop(self, scenario_prefix: Optional[str] = None) -> float:
-        """Worst coverage loss versus nominal (positive = degradation)."""
-        return self.nominal_coverage - self.worst_coverage(scenario_prefix)
+    def failed(self) -> Tuple[str, ...]:
+        """Names of the checks that did not hold, in check order."""
+        return tuple(name for name, held in self.checks.items() if not held)
 
     def to_table(self, title: Optional[str] = None) -> str:
-        """Monospace report table (coverage in %, width in mV)."""
-        rows = [
-            [
-                "(nominal)",
-                0.0,
-                "ok",
-                self.nominal_coverage * 100.0,
-                self.nominal_width * 1e3,
-                1.0,
-                "-",
-                0.0,
-            ]
-        ]
-        rows.extend(
-            [
-                r.scenario,
-                r.severity,
-                r.status,
-                r.coverage * 100.0,
-                r.mean_width * 1e3,
-                r.inflation,
-                "yes" if r.used_fallback else "no",
-                r.unhealthy_fraction * 100.0,
-            ]
-            for r in self.results
-        )
-        return format_table(
-            [
-                "Scenario",
-                "Severity",
-                "Status",
-                "Coverage (%)",
-                "Len (mV)",
-                "Inflation",
-                "Fallback",
-                "Unhealthy (%)",
-            ],
-            rows,
-            title=title or "Fault-campaign stress report",
-        )
+        """Monospace rows, metrics and checks plus the downgrade audit."""
+        sections = [title or self.title]
+        if self.rows:
+            columns = list(
+                dict.fromkeys(c for values in self.rows.values() for c in values)
+            )
+            sections.append(
+                format_table(
+                    ["name", *columns],
+                    [
+                        [name, *(_cell(values.get(c)) for c in columns)]
+                        for name, values in self.rows.items()
+                    ],
+                    float_format="{:.4g}",
+                )
+            )
+        if self.metrics:
+            sections.append(
+                format_table(
+                    ["metric", "value"],
+                    [[name, _cell(value)] for name, value in self.metrics.items()],
+                    float_format="{:.4g}",
+                )
+            )
+        if self.checks:
+            sections.append(
+                format_table(
+                    ["check", "result"],
+                    [
+                        [name, "pass" if held else "FAIL"]
+                        for name, held in self.checks.items()
+                    ],
+                )
+            )
+        if self.downgrades:
+            sections.append(
+                "Downgrade audit:\n"
+                + "\n".join(
+                    f"  [{reason}] {detail}" for reason, detail in self.downgrades
+                )
+            )
+        return "\n\n".join(sections)
 
 
-def run_fault_campaign(flow, X: np.ndarray, y: np.ndarray, campaign) -> StressReport:
+def worst_coverage(report: CampaignReport, prefix: Optional[str] = None) -> float:
+    """Lowest row ``coverage``, optionally over rows named ``prefix...``.
+
+    Raises ``ValueError`` when no row matches ``prefix``.  The fault
+    campaign's coverage drop versus nominal is
+    ``report.metrics["nominal_coverage"] - worst_coverage(report, prefix)``.
+    """
+    selected = [
+        values["coverage"]
+        for name, values in report.rows.items()
+        if prefix is None or name.startswith(prefix)
+    ]
+    if not selected:
+        raise ValueError(f"no scenario matches prefix {prefix!r}")
+    return float(min(selected))
+
+
+def run_fault_campaign(flow, X: np.ndarray, y: np.ndarray, campaign) -> CampaignReport:
     """Serve a held-out lot through every scenario of a fault campaign.
 
     Parameters
@@ -187,6 +193,14 @@ def run_fault_campaign(flow, X: np.ndarray, y: np.ndarray, campaign) -> StressRe
     campaign:
         An iterable of :class:`~repro.robust.faults.FaultScenario`
         (e.g. :meth:`~repro.robust.faults.FaultCampaign.standard`).
+
+    Returns a :class:`CampaignReport` with one row per scenario, named
+    ``"<scenario>@<severity>"``: served ``coverage``, ``mean_width_v``,
+    ``status``, policy ``inflation``, ``used_fallback`` and the guard's
+    ``unhealthy_fraction``.  ``metrics`` holds the clean baseline
+    (``nominal_coverage``, ``nominal_width_v``).  The campaign asserts
+    nothing itself, so it has no checks; read it with
+    :func:`worst_coverage`.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -195,90 +209,34 @@ def run_fault_campaign(flow, X: np.ndarray, y: np.ndarray, campaign) -> StressRe
             f"X and y must be a matching 2-D/1-D pair, got {X.shape} and {y.shape}"
         )
     nominal = flow.predict_interval(X)
-    results = []
+    rows: Dict[str, Dict[str, Any]] = {}
     for scenario in campaign:
+        name = f"{scenario.name}@{float(scenario.severity):g}"
+        if name in rows:
+            raise ValueError(f"duplicate fault scenario {name!r}")
         prediction = flow.predict_interval(scenario.apply(X))
-        results.append(
-            StressResult(
-                scenario=scenario.name,
-                severity=float(scenario.severity),
-                coverage=prediction.coverage(y),
-                mean_width=prediction.mean_width,
-                status=prediction.status.value,
-                inflation=float(prediction.inflation),
-                used_fallback=bool(prediction.used_fallback),
-                unhealthy_fraction=prediction.health.unhealthy_fraction,
-            )
-        )
-    return StressReport(
-        nominal_coverage=nominal.coverage(y),
-        nominal_width=nominal.mean_width,
-        results=tuple(results),
+        rows[name] = {
+            "severity": float(scenario.severity),
+            "status": prediction.status.value,
+            "coverage": prediction.coverage(y),
+            "mean_width_v": prediction.mean_width,
+            "inflation": float(prediction.inflation),
+            "used_fallback": bool(prediction.used_fallback),
+            "unhealthy_fraction": prediction.health.unhealthy_fraction,
+        }
+    return CampaignReport(
+        title="Fault-campaign stress report",
+        rows=rows,
+        metrics={
+            "nominal_coverage": nominal.coverage(y),
+            "nominal_width_v": nominal.mean_width,
+        },
     )
 
 
 # ---------------------------------------------------------------------------
 # execution-fault campaign (crashed / hung workers mid-grid)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExecutionStressResult:
-    """Outcome of one execution-fault scenario over the grid.
-
-    Attributes
-    ----------
-    scenario:
-        Scenario name (e.g. ``worker_crash``).
-    recovered:
-        Every cell completed despite the injected faults.
-    identical:
-        The recovered grid equals the clean grid bit for bit.
-    n_cells, n_retried, n_failures:
-        Grid size, cells that needed more than one attempt, and cells
-        that failed even after retries.
-    """
-
-    scenario: str
-    recovered: bool
-    identical: bool
-    n_cells: int
-    n_retried: int
-    n_failures: int
-
-
-@dataclass(frozen=True)
-class ExecutionStressReport:
-    """Per-scenario recovery results of an execution-fault campaign."""
-
-    results: Tuple[ExecutionStressResult, ...]
-
-    def all_recovered(self) -> bool:
-        """Whether every scenario completed every cell."""
-        return all(r.recovered for r in self.results)
-
-    def all_identical(self) -> bool:
-        """Whether every scenario reproduced the clean grid bit for bit."""
-        return all(r.identical for r in self.results)
-
-    def to_table(self, title: Optional[str] = None) -> str:
-        """Monospace report table (one row per scenario)."""
-        rows = [
-            [
-                r.scenario,
-                "yes" if r.recovered else "NO",
-                "yes" if r.identical else "NO",
-                r.n_cells,
-                r.n_retried,
-                r.n_failures,
-            ]
-            for r in self.results
-        ]
-        return format_table(
-            ["Scenario", "Recovered", "Identical", "Cells", "Retried", "Failed"],
-            rows,
-            title=title or "Execution-fault campaign report",
-        )
 
 
 def _default_execution_scenarios(
@@ -303,8 +261,8 @@ def run_execution_campaign(
     n_jobs: Optional[int] = 2,
     timeout: float = 30.0,
     retry_policy: Optional[RetryPolicy] = None,
-) -> ExecutionStressReport:
-    """Kill and hang grid workers mid-flight; assert the grid recovers.
+) -> CampaignReport:
+    """Kill and hang grid workers mid-flight; check the grid recovers.
 
     Runs the point grid once clean, then once per execution-fault
     scenario with the scenario's :meth:`~repro.robust.faults.ExecutionFault.wrap`
@@ -315,6 +273,12 @@ def run_execution_campaign(
     then records whether retried work reproduced the clean results bit
     for bit -- the determinism-under-faults contract of
     ``docs/RUNTIME.md``.
+
+    Returns a :class:`CampaignReport` with one row per scenario
+    (``recovered``, ``identical``, ``n_cells``, ``n_retried``,
+    ``n_failures``) and two checks: ``all_recovered`` (every scenario
+    completed every cell) and ``all_identical`` (every scenario
+    reproduced the clean grid bit for bit).
     """
     profile = profile or ExperimentProfile.smoke()
     if scenarios is None:
@@ -335,8 +299,10 @@ def run_execution_campaign(
         seed=seed,
         n_jobs=n_jobs,
     )
-    results = []
+    rows: Dict[str, Dict[str, Any]] = {}
     for name, fault in scenarios:
+        if name in rows:
+            raise ValueError(f"duplicate execution scenario {name!r}")
         faulted = run_point_grid(
             dataset,
             model_names,
@@ -351,17 +317,21 @@ def run_execution_campaign(
             task_wrapper=fault.wrap,
         )
         recovered = faulted.ok and set(faulted) == set(clean)
-        results.append(
-            ExecutionStressResult(
-                scenario=name,
-                recovered=recovered,
-                identical=recovered and dict(faulted) == dict(clean),
-                n_cells=len(clean),
-                n_retried=faulted.n_retried,
-                n_failures=len(faulted.failures),
-            )
-        )
-    return ExecutionStressReport(results=tuple(results))
+        rows[name] = {
+            "recovered": recovered,
+            "identical": recovered and dict(faulted) == dict(clean),
+            "n_cells": len(clean),
+            "n_retried": faulted.n_retried,
+            "n_failures": len(faulted.failures),
+        }
+    return CampaignReport(
+        title="Execution-fault campaign report",
+        rows=rows,
+        checks={
+            "all_recovered": all(row["recovered"] for row in rows.values()),
+            "all_identical": all(row["identical"] for row in rows.values()),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -412,103 +382,6 @@ class _SigkillWorker:
         return struck
 
 
-@dataclass(frozen=True)
-class ServingStressReport:
-    """Metrics and audited invariants of one serving soak campaign.
-
-    Attributes
-    ----------
-    n_requests, n_served, n_overloaded, n_retried:
-        Requests issued, answered, shed by admission control, and
-        answered only after at least one retry.
-    dropped_during_swap:
-        Requests issued concurrently with a hot-swap that failed with
-        anything other than typed load-shedding -- the zero-downtime
-        invariant says this must be 0.
-    unverified_serves:
-        Served batches whose model version never passed checksum
-        verification -- must be 0 by the registry's construction.
-    chips_per_s, p50_latency_s, p99_latency_s:
-        Scoring throughput and per-request latency percentiles.
-    coverage, target_coverage, tolerance:
-        Empirical coverage over every served-and-labelled chip of the
-        campaign (drift phase included) against the promised
-        ``1 - alpha`` and the campaign's allowance.
-    n_recalibrations, n_versions, n_quarantined:
-        Drift-triggered republications, registry versions at campaign
-        end, and versions quarantined by corruption.
-    downgrades:
-        Every audited quality-loss event as ``(reason_code, detail)``
-        pairs -- the trail the harness checks for completeness.
-    final_state:
-        The service state at campaign end (``ready`` on success).
-    compiled_kernels:
-        The decision-table kernels recorded in the bootstrap version's
-        manifest (one entry per boosting ensemble in the flow, e.g.
-        ``oblivious(n_trees=100, n_leaves=64)``) -- empty when the
-        published flow holds no compiled ensembles.
-    """
-
-    n_requests: int
-    n_served: int
-    n_overloaded: int
-    n_retried: int
-    dropped_during_swap: int
-    unverified_serves: int
-    chips_per_s: float
-    p50_latency_s: float
-    p99_latency_s: float
-    coverage: float
-    target_coverage: float
-    tolerance: float
-    n_recalibrations: int
-    n_versions: int
-    n_quarantined: int
-    downgrades: Tuple[Tuple[str, str], ...]
-    final_state: str
-    compiled_kernels: Tuple[str, ...] = ()
-
-    def ok(self) -> bool:
-        """Whether every soak invariant held."""
-        return (
-            self.unverified_serves == 0
-            and self.dropped_during_swap == 0
-            and self.coverage >= self.target_coverage - self.tolerance
-            and self.final_state == "ready"
-            and self.n_recalibrations >= 1
-            and self.n_quarantined >= 1
-            and all(reason for reason, _ in self.downgrades)
-        )
-
-    def to_table(self, title: Optional[str] = None) -> str:
-        """Monospace metric table plus the downgrade audit trail."""
-        rows = [
-            ["requests", self.n_requests],
-            ["served", self.n_served],
-            ["overloaded (shed)", self.n_overloaded],
-            ["retried", self.n_retried],
-            ["dropped during swap", self.dropped_during_swap],
-            ["unverified serves", self.unverified_serves],
-            ["chips/s", self.chips_per_s],
-            ["p50 latency (ms)", self.p50_latency_s * 1e3],
-            ["p99 latency (ms)", self.p99_latency_s * 1e3],
-            ["coverage (%)", self.coverage * 100.0],
-            ["target - tol (%)", (self.target_coverage - self.tolerance) * 100.0],
-            ["recalibrations", self.n_recalibrations],
-            ["registry versions", self.n_versions],
-            ["quarantined", self.n_quarantined],
-            ["final state", self.final_state],
-            ["compiled kernels", len(self.compiled_kernels)],
-        ]
-        table = format_table(
-            ["Metric", "Value"], rows, title=title or "Serving soak report"
-        )
-        audit = "\n".join(
-            f"  [{reason}] {detail}" for reason, detail in self.downgrades
-        )
-        return table + "\nDowngrade audit:\n" + (audit or "  (none)")
-
-
 def _request_batches(
     n_rows: int, batch_size: int, count: int, start: int
 ) -> List[np.ndarray]:
@@ -534,7 +407,7 @@ def run_serving_campaign(
     min_recal_labels: int = 30,
     tolerance: float = 0.15,
     seed: int = 0,
-) -> ServingStressReport:
+) -> CampaignReport:
     """Soak a full serving stack through the faults of a deployment.
 
     Publishes ``flow`` to a fresh :class:`~repro.serve.registry.
@@ -561,8 +434,24 @@ def run_serving_campaign(
     6. **recovery** -- a good bundle is republished, the service swaps
        onto it and must end the campaign ``READY`` on a clean stream.
 
-    Returns a :class:`ServingStressReport`; ``report.ok()`` is the
-    single pass/fail the CI smoke job asserts.
+    Returns a :class:`CampaignReport` without rows.  ``metrics`` carries
+    requests issued / served / shed (``n_overloaded``) / answered only
+    after a retry, ``dropped_during_swap`` (hot-swap requests that failed
+    with anything but typed load shedding), ``unverified_serves``
+    (batches served by a version that never passed checksum
+    verification), throughput and p50/p99 request latency, empirical
+    ``coverage`` over every served-and-labelled chip against
+    ``target_coverage`` and ``tolerance``, recalibration / registry /
+    quarantine counts, the ``final_state``, and ``n_compiled_kernels``,
+    the decision-table kernels recorded in the bootstrap version's
+    manifest (one per boosting ensemble in the flow; the manifest's
+    ``"compiled"`` entries describe them).  ``downgrades`` is the audit
+    trail.  The checks,
+    in order: ``never_served_unverified``, ``zero_dropped_during_swap``,
+    ``coverage_within_tolerance``, ``ends_ready``,
+    ``recalibrated_under_drift``, ``corrupt_version_quarantined`` and
+    ``all_downgrades_audited`` (every downgrade carries a reason code);
+    ``report.ok()`` is the single pass/fail the CI smoke job asserts.
     """
     # Deferred import: repro.serve depends on repro.robust, and keeping
     # eval's module import light lets `repro.eval` load without the
@@ -589,15 +478,6 @@ def run_serving_campaign(
     registry = ModelRegistry(root)
     bootstrap = registry.publish(
         flow, reason="published", metadata={"phase": "bootstrap"}
-    )
-    compiled_kernels = tuple(
-        "{}(n_trees={}, {}={})".format(
-            entry["kernel"],
-            entry["n_trees"],
-            "n_leaves" if "n_leaves" in entry else "max_nodes",
-            entry.get("n_leaves", entry.get("max_nodes")),
-        )
-        for entry in bootstrap.manifest.get("compiled", [])
     )
     config = ServingConfig(
         max_in_flight=2,
@@ -727,197 +607,54 @@ def run_serving_campaign(
 
     sorted_latencies = np.sort(np.asarray(latencies))
     total_wall = float(np.sum(sorted_latencies))
-    return ServingStressReport(
-        n_requests=n_requests,
-        n_served=service.n_served_,
-        n_overloaded=n_overload_sheds,
-        n_retried=n_retried,
-        dropped_during_swap=dropped_during_swap,
-        unverified_serves=unverified,
-        chips_per_s=(chips_served / total_wall) if total_wall > 0 else 0.0,
-        p50_latency_s=float(np.percentile(sorted_latencies, 50)),
-        p99_latency_s=float(np.percentile(sorted_latencies, 99)),
-        coverage=(covered / labelled) if labelled else 0.0,
-        target_coverage=1.0 - float(flow.alpha),
-        tolerance=float(tolerance),
-        n_recalibrations=len(recalibrator.events_),
-        n_versions=len(registry.versions()),
-        n_quarantined=len(registry.quarantined()),
-        downgrades=tuple(
-            (record.reason.value, record.detail)
-            for record in service.health.downgrades()
-        ),
-        final_state=service.state.value,
-        compiled_kernels=compiled_kernels,
+    coverage = (covered / labelled) if labelled else 0.0
+    target_coverage = 1.0 - float(flow.alpha)
+    n_recalibrations = len(recalibrator.events_)
+    n_quarantined = len(registry.quarantined())
+    downgrades = tuple(
+        (record.reason.value, record.detail)
+        for record in service.health.downgrades()
+    )
+    final_state = service.state.value
+    return CampaignReport(
+        title="Serving soak report",
+        metrics={
+            "n_requests": n_requests,
+            "n_served": service.n_served_,
+            "n_overloaded": n_overload_sheds,
+            "n_retried": n_retried,
+            "dropped_during_swap": dropped_during_swap,
+            "unverified_serves": unverified,
+            "chips_per_s": (chips_served / total_wall) if total_wall > 0 else 0.0,
+            "p50_latency_s": float(np.percentile(sorted_latencies, 50)),
+            "p99_latency_s": float(np.percentile(sorted_latencies, 99)),
+            "coverage": coverage,
+            "target_coverage": target_coverage,
+            "tolerance": float(tolerance),
+            "n_recalibrations": n_recalibrations,
+            "n_versions": len(registry.versions()),
+            "n_quarantined": n_quarantined,
+            "final_state": final_state,
+            "n_compiled_kernels": len(bootstrap.manifest.get("compiled", [])),
+        },
+        checks={
+            "never_served_unverified": unverified == 0,
+            "zero_dropped_during_swap": dropped_during_swap == 0,
+            "coverage_within_tolerance": (
+                coverage >= target_coverage - float(tolerance)
+            ),
+            "ends_ready": final_state == "ready",
+            "recalibrated_under_drift": n_recalibrations >= 1,
+            "corrupt_version_quarantined": n_quarantined >= 1,
+            "all_downgrades_audited": all(reason for reason, _ in downgrades),
+        },
+        downgrades=downgrades,
     )
 
 
 # ---------------------------------------------------------------------------
 # distribution-shift campaign (new fab, corner drift, sensor recalibration)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShiftPhaseResult:
-    """Outcome of one phase of the distribution-shift campaign.
-
-    Attributes
-    ----------
-    phase:
-        Phase name (``control`` / ``new_fab`` / ``corner_drift`` /
-        ``sensor_recal``).
-    n_lots:
-        Lots served during the phase (pre-repair traffic only).
-    coverage:
-        Worst per-lot empirical coverage of the phase *before* any
-        repair -- the damage the shift inflicted.
-    mean_width:
-        Mean served interval width (V) over the phase's pre-repair lots.
-    exchangeability_alarm, covariate_alarm:
-        Whether each sentinel fired during the phase.
-    detection_latency:
-        Labelled observations (post phase start) consumed before the
-        first sentinel fired; ``None`` when no sentinel fired.
-    repair:
-        Recovery path taken: ``none`` (nothing to repair),
-        ``weighted`` (density-ratio-weighted recalibration accepted),
-        ``adaptive`` (online recalibration republished by the
-        :class:`~repro.serve.recalibration.DriftRecalibrator`), or
-        ``refused+refit`` (weighted repair refused on degenerate
-        weights, recovered by a full refit on fresh labels).
-    ess:
-        Effective sample size of the accepted density-ratio weights
-        (``None`` when no weighted repair was accepted).
-    post_repair_coverage:
-        Coverage on a held-out lot of the *same shifted distribution*
-        served after the repair (``None`` for the control phase).
-    state:
-        Service readiness at phase end.
-    """
-
-    phase: str
-    n_lots: int
-    coverage: float
-    mean_width: float
-    exchangeability_alarm: bool
-    covariate_alarm: bool
-    detection_latency: Optional[int]
-    repair: str
-    ess: Optional[float]
-    post_repair_coverage: Optional[float]
-    state: str
-
-
-@dataclass(frozen=True)
-class ShiftStressReport:
-    """Full audit of one distribution-shift campaign.
-
-    ``report.ok()`` is the single pass/fail the CI smoke job asserts:
-    the control phase must stay quiet at nominal coverage, every
-    shifted phase must be detected within the latency budget and
-    repaired back above ``target - tolerance``, no phase may fall
-    below the worst-case floor, every downgrade must carry a reason
-    code, and the service must end the campaign ``READY``.
-    """
-
-    target_coverage: float
-    tolerance: float
-    detection_budget: int
-    worst_coverage_floor: float
-    phases: Tuple[ShiftPhaseResult, ...]
-    n_recalibrations: int
-    n_versions: int
-    downgrades: Tuple[Tuple[str, str], ...]
-    final_state: str
-
-    def phase(self, name: str) -> ShiftPhaseResult:
-        """The result of one named phase."""
-        for result in self.phases:
-            if result.phase == name:
-                return result
-        raise KeyError(f"no phase named {name!r}")
-
-    def ok(self) -> bool:
-        """Whether every campaign invariant held."""
-        floor = self.target_coverage - self.tolerance
-        control = self.phase("control")
-        new_fab = self.phase("new_fab")
-        drift = self.phase("corner_drift")
-        recal = self.phase("sensor_recal")
-        detected = (
-            new_fab.detection_latency is not None
-            and new_fab.detection_latency <= self.detection_budget
-            and recal.detection_latency is not None
-            and recal.detection_latency <= self.detection_budget
-        )
-        repaired = (
-            new_fab.repair == "weighted"
-            and new_fab.post_repair_coverage is not None
-            and new_fab.post_repair_coverage >= floor
-            and drift.repair == "adaptive"
-            and drift.post_repair_coverage is not None
-            and drift.post_repair_coverage >= floor
-            and recal.repair == "refused+refit"
-            and recal.post_repair_coverage is not None
-            and recal.post_repair_coverage >= floor
-        )
-        return (
-            not control.exchangeability_alarm
-            and not control.covariate_alarm
-            and control.coverage >= floor
-            and new_fab.exchangeability_alarm
-            and new_fab.covariate_alarm
-            and recal.covariate_alarm
-            and not recal.exchangeability_alarm
-            and detected
-            and repaired
-            and self.n_recalibrations >= 1
-            and min(r.coverage for r in self.phases) >= self.worst_coverage_floor
-            and all(reason for reason, _ in self.downgrades)
-            and self.final_state == "ready"
-        )
-
-    def to_table(self, title: Optional[str] = None) -> str:
-        """Monospace phase table plus the downgrade audit trail."""
-        rows = [
-            [
-                r.phase,
-                r.n_lots,
-                r.coverage * 100.0,
-                r.mean_width * 1e3,
-                "yes" if r.exchangeability_alarm else "no",
-                "yes" if r.covariate_alarm else "no",
-                "-" if r.detection_latency is None else r.detection_latency,
-                r.repair,
-                "-" if r.ess is None else round(r.ess, 1),
-                "-"
-                if r.post_repair_coverage is None
-                else round(r.post_repair_coverage * 100.0, 1),
-                r.state,
-            ]
-            for r in self.phases
-        ]
-        table = format_table(
-            [
-                "Phase",
-                "Lots",
-                "Coverage (%)",
-                "Len (mV)",
-                "Exch",
-                "Covar",
-                "Latency",
-                "Repair",
-                "ESS",
-                "Post (%)",
-                "State",
-            ],
-            rows,
-            title=title or "Distribution-shift campaign report",
-        )
-        audit = "\n".join(
-            f"  [{reason}] {detail}" for reason, detail in self.downgrades
-        )
-        return table + "\nDowngrade audit:\n" + (audit or "  (none)")
 
 
 def run_shift_campaign(
@@ -939,7 +676,7 @@ def run_shift_campaign(
     detection_budget: int = 150,
     worst_coverage_floor: float = 0.6,
     seed: int = 2024,
-) -> ShiftStressReport:
+) -> CampaignReport:
     """Drive a guarded serving stack through three distribution shifts.
 
     Generates a multi-fab fleet with :class:`~repro.silicon.fleet.
@@ -979,8 +716,27 @@ def run_shift_campaign(
     once, on the full drift evidence -- republishing eagerly mid-drift
     makes the online recalibration overshoot on its own wide margins.
     Everything is seeded; the same arguments reproduce the same report
-    bit for bit.  Returns a :class:`ShiftStressReport`; ``report.ok()``
-    is the single pass/fail the CI smoke job asserts.
+    bit for bit (the per-phase ``report.wall_s`` timings excepted).
+
+    Returns a :class:`CampaignReport` with one row per phase:
+    ``n_lots`` served before any repair, the phase's worst per-lot
+    ``coverage`` and ``mean_width_v`` before repair, whether each
+    sentinel fired (``exchangeability_alarm`` / ``covariate_alarm``),
+    the ``detection_latency`` in labels past the phase start (``None``
+    when no sentinel fired, and always for the drift phase, whose
+    mid-phase republication re-arms the sentinels), the ``repair`` path
+    (``none`` / ``weighted`` / ``adaptive`` / ``refused+refit``), the
+    accepted weights' ``ess``, the ``post_repair_coverage`` on a
+    held-out lot of the shifted distribution, and the service ``state``
+    at phase end.  The checks, in order: ``control_quiet``,
+    ``control_coverage_nominal``, ``new_fab_detected_in_budget``,
+    ``new_fab_weighted_repair``, ``drift_adaptive_repair``,
+    ``recal_covariate_only_alarm``, ``recal_detected_in_budget``,
+    ``recal_refused_then_refit``, ``recalibrated_under_drift``,
+    ``worst_coverage_above_floor``, ``all_downgrades_audited`` and
+    ``ends_ready``; "repaired" means post-repair coverage of at least
+    ``1 - alpha - tolerance``.  ``report.ok()`` is the single pass/fail
+    the CI smoke job asserts.
     """
     # Deferred imports, mirroring run_serving_campaign: keep the eval
     # package importable without the serving stack.
@@ -1140,9 +896,24 @@ def run_shift_campaign(
         registry.publish(flow, reason="republished", metadata={"phase": phase})
         service.hot_swap()
 
-    phases = []
+    floor = (1.0 - float(alpha)) - float(tolerance)
+    budget = int(detection_budget)
+    rows: Dict[str, Dict[str, Any]] = {}
+    phase_wall: Dict[str, float] = {}
+    checks: Dict[str, bool] = {}
+
+    def end_phase(name: str, started: float, **values: Any) -> Dict[str, Any]:
+        """Record one phase row, its end-of-phase state and wall time."""
+        rows[name] = dict(values, state=service.state.value)
+        phase_wall[name] = time.perf_counter() - started
+        return rows[name]
+
+    def in_budget(latency: Optional[int]) -> bool:
+        """Whether a sentinel fired within the detection budget."""
+        return latency is not None and latency <= budget
 
     # Phase 1: control -- fresh reference lots, everything must stay quiet.
+    started = time.perf_counter()
     control_coverages = []
     control_widths = []
     for lot_index in (1, 2):
@@ -1151,31 +922,34 @@ def run_shift_campaign(
         control_coverages.append(result.prediction.coverage(y))
         control_widths.append(result.prediction.mean_width)
         stream_observe(X, y, zones=lot.zones(3))
-    control_verdict = guard.verdict()
-    phases.append(
-        ShiftPhaseResult(
-            phase="control",
-            n_lots=2,
-            coverage=float(min(control_coverages)),
-            mean_width=float(np.mean(control_widths)),
-            exchangeability_alarm=control_verdict.exchangeability_alarm,
-            covariate_alarm=control_verdict.covariate_alarm,
-            detection_latency=sentinel_latency(0),
-            repair="none",
-            ess=None,
-            post_repair_coverage=None,
-            state=service.state.value,
-        )
+    verdict = guard.verdict()
+    control = end_phase(
+        "control",
+        started,
+        n_lots=2,
+        coverage=float(min(control_coverages)),
+        mean_width_v=float(np.mean(control_widths)),
+        exchangeability_alarm=verdict.exchangeability_alarm,
+        covariate_alarm=verdict.covariate_alarm,
+        detection_latency=sentinel_latency(0),
+        repair="none",
+        ess=None,
+        post_repair_coverage=None,
     )
+    checks["control_quiet"] = not (
+        verdict.exchangeability_alarm or verdict.covariate_alarm
+    )
+    checks["control_coverage_nominal"] = control["coverage"] >= floor
 
     # Phase 2: new fab -- both sentinels fire, weighted repair restores.
+    started = time.perf_counter()
     phase_start = guard.n_observed_
     lot, X_shift, y_shift = lot_data("newfab", lot_index=0)
     result = service.score(X_shift)
     new_fab_coverage = result.prediction.coverage(y_shift)
     new_fab_width = result.prediction.mean_width
     stream_observe(X_shift, y_shift, zones=lot.zones(3))
-    new_fab_verdict = guard.verdict()
+    verdict = guard.verdict()
     new_fab_latency = sentinel_latency(phase_start)
     ess: Optional[float] = None
     try:
@@ -1189,26 +963,33 @@ def run_shift_campaign(
     except DegenerateWeightsError:
         new_fab_repair = "refused"
     _, X_held, y_held = lot_data("newfab", lot_index=1)
-    new_fab_post = service.score(X_held).prediction.coverage(y_held)
-    phases.append(
-        ShiftPhaseResult(
-            phase="new_fab",
-            n_lots=1,
-            coverage=float(new_fab_coverage),
-            mean_width=float(new_fab_width),
-            exchangeability_alarm=new_fab_verdict.exchangeability_alarm,
-            covariate_alarm=new_fab_verdict.covariate_alarm,
-            detection_latency=new_fab_latency,
-            repair=new_fab_repair,
-            ess=ess,
-            post_repair_coverage=float(new_fab_post),
-            state=service.state.value,
-        )
+    new_fab_post = float(service.score(X_held).prediction.coverage(y_held))
+    end_phase(
+        "new_fab",
+        started,
+        n_lots=1,
+        coverage=float(new_fab_coverage),
+        mean_width_v=float(new_fab_width),
+        exchangeability_alarm=verdict.exchangeability_alarm,
+        covariate_alarm=verdict.covariate_alarm,
+        detection_latency=new_fab_latency,
+        repair=new_fab_repair,
+        ess=ess,
+        post_repair_coverage=new_fab_post,
+    )
+    checks["new_fab_detected_in_budget"] = (
+        verdict.exchangeability_alarm
+        and verdict.covariate_alarm
+        and in_budget(new_fab_latency)
+    )
+    checks["new_fab_weighted_repair"] = (
+        new_fab_repair == "weighted" and ess is not None and new_fab_post >= floor
     )
 
     # Phase 3: corner drift -- realized coverage decays with calendar
     # time; the coverage monitor alarms and the DriftRecalibrator must
     # republish an adaptively recalibrated version.
+    started = time.perf_counter()
     reset_to_golden("corner_drift")
     recalibrator = DriftRecalibrator(service, min_labels=min_recal_labels)
     audit_start = len(service.health.transitions_)
@@ -1224,49 +1005,48 @@ def run_shift_campaign(
     # sentinels, so the phase's alarm evidence is read from the
     # persistent health audit trail rather than the live guard.
     drift_records = service.health.transitions_[audit_start:]
-    drift_exchangeability = any(
-        record.reason is ReasonCode.EXCHANGEABILITY_ALARM
-        for record in drift_records
-    )
-    drift_covariate = any(
-        record.reason is ReasonCode.COVARIATE_SHIFT for record in drift_records
-    )
     # Post-repair check at the drifted corner: the republished adaptive
     # flow must hold coverage where the stale bundle was failing.
     _, X_post, y_post = lot_data(
         "ref", hours=int(drift_hours[-1]), lot_index=3
     )
-    drift_post = service.score(X_post).prediction.coverage(y_post)
+    drift_post = float(service.score(X_post).prediction.coverage(y_post))
     # The excursion is then corrected at the fab: recovery traffic from
     # the nominal corner brings the rolling coverage back to target.
     for lot_index in (4, 5):
         _, X_rec, y_rec = lot_data("ref", hours=0, lot_index=lot_index)
         service.score(X_rec)
         stream_observe(X_rec, y_rec)
-    phases.append(
-        ShiftPhaseResult(
-            phase="corner_drift",
-            n_lots=len(tuple(drift_hours)),
-            coverage=float(min(drift_coverages)),
-            mean_width=float(np.mean(drift_widths)),
-            exchangeability_alarm=drift_exchangeability,
-            covariate_alarm=drift_covariate,
-            # Latency in observations is not well defined across the
-            # mid-phase re-arm; the audit trail carries the ordering.
-            detection_latency=None,
-            repair=(
-                "adaptive" if recalibrator.events_ else "none"
-            ),
-            ess=None,
-            post_repair_coverage=float(drift_post),
-            state=service.state.value,
-        )
+    drift_repair = "adaptive" if recalibrator.events_ else "none"
+    end_phase(
+        "corner_drift",
+        started,
+        n_lots=len(tuple(drift_hours)),
+        coverage=float(min(drift_coverages)),
+        mean_width_v=float(np.mean(drift_widths)),
+        exchangeability_alarm=any(
+            record.reason is ReasonCode.EXCHANGEABILITY_ALARM
+            for record in drift_records
+        ),
+        covariate_alarm=any(
+            record.reason is ReasonCode.COVARIATE_SHIFT for record in drift_records
+        ),
+        # Latency in observations is not well defined across the
+        # mid-phase re-arm; the audit trail carries the ordering.
+        detection_latency=None,
+        repair=drift_repair,
+        ess=None,
+        post_repair_coverage=drift_post,
+    )
+    checks["drift_adaptive_repair"] = (
+        drift_repair == "adaptive" and drift_post >= floor
     )
 
     # Phase 4: sensor recalibration -- a constant re-referencing offset
     # on one ROD flavour.  Features move, labels do not: the covariate
     # detector must fire while the martingale stays quiet, the weighted
     # repair must refuse (degenerate weights), and recovery is a refit.
+    started = time.perf_counter()
     reset_to_golden("sensor_recal")
     recal_offset = recal_offset_sigma * X_train[:, f0_columns].std(axis=0)
     recal_start = guard.n_observed_
@@ -1283,7 +1063,7 @@ def run_shift_campaign(
     recal_coverage = result.prediction.coverage(y_recal)
     recal_width = result.prediction.mean_width
     stream_observe(X_recal, y_recal, zones=lot.zones(3))
-    recal_verdict = guard.verdict()
+    verdict = guard.verdict()
     recal_latency = sentinel_latency(recal_start)
     recal_repair = "weighted"
     try:
@@ -1309,37 +1089,56 @@ def run_shift_campaign(
         service.hot_swap()
         recal_repair = "refused+refit"
     _, X_recal_held, y_recal_held = recalibrated_lot(7)
-    recal_post = service.score(X_recal_held).prediction.coverage(
-        y_recal_held
+    recal_post = float(
+        service.score(X_recal_held).prediction.coverage(y_recal_held)
     )
     stream_observe(X_recal_held, y_recal_held)
-    phases.append(
-        ShiftPhaseResult(
-            phase="sensor_recal",
-            n_lots=1,
-            coverage=float(recal_coverage),
-            mean_width=float(recal_width),
-            exchangeability_alarm=recal_verdict.exchangeability_alarm,
-            covariate_alarm=recal_verdict.covariate_alarm,
-            detection_latency=recal_latency,
-            repair=recal_repair,
-            ess=None,
-            post_repair_coverage=float(recal_post),
-            state=service.state.value,
-        )
+    end_phase(
+        "sensor_recal",
+        started,
+        n_lots=1,
+        coverage=float(recal_coverage),
+        mean_width_v=float(recal_width),
+        exchangeability_alarm=verdict.exchangeability_alarm,
+        covariate_alarm=verdict.covariate_alarm,
+        detection_latency=recal_latency,
+        repair=recal_repair,
+        ess=None,
+        post_repair_coverage=recal_post,
+    )
+    checks["recal_covariate_only_alarm"] = (
+        verdict.covariate_alarm and not verdict.exchangeability_alarm
+    )
+    checks["recal_detected_in_budget"] = in_budget(recal_latency)
+    checks["recal_refused_then_refit"] = (
+        recal_repair == "refused+refit" and recal_post >= floor
     )
 
-    return ShiftStressReport(
-        target_coverage=1.0 - float(alpha),
-        tolerance=float(tolerance),
-        detection_budget=int(detection_budget),
-        worst_coverage_floor=float(worst_coverage_floor),
-        phases=tuple(phases),
-        n_recalibrations=len(recalibrator.events_),
-        n_versions=len(registry.versions()),
-        downgrades=tuple(
-            (record.reason.value, record.detail)
-            for record in service.health.downgrades()
-        ),
-        final_state=service.state.value,
+    n_recalibrations = len(recalibrator.events_)
+    downgrades = tuple(
+        (record.reason.value, record.detail)
+        for record in service.health.downgrades()
+    )
+    final_state = service.state.value
+    checks["recalibrated_under_drift"] = n_recalibrations >= 1
+    checks["worst_coverage_above_floor"] = min(
+        row["coverage"] for row in rows.values()
+    ) >= float(worst_coverage_floor)
+    checks["all_downgrades_audited"] = all(reason for reason, _ in downgrades)
+    checks["ends_ready"] = final_state == "ready"
+    return CampaignReport(
+        title="Distribution-shift campaign report",
+        rows=rows,
+        metrics={
+            "target_coverage": 1.0 - float(alpha),
+            "tolerance": float(tolerance),
+            "detection_budget": budget,
+            "worst_coverage_floor": float(worst_coverage_floor),
+            "n_recalibrations": n_recalibrations,
+            "n_versions": len(registry.versions()),
+            "final_state": final_state,
+        },
+        checks=checks,
+        downgrades=downgrades,
+        wall_s=phase_wall,
     )

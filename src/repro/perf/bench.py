@@ -14,6 +14,9 @@ Report schema (``schema_version`` 1)::
       "profile": "fast",            # REPRO_BENCH profile the run used
       "n_jobs": 4,                  # resolved REPRO_N_JOBS
       "git_sha": "abc123" | null,   # passed in by CI via REPRO_GIT_SHA
+      "git_dirty": false | null,    # uncommitted changes in the working
+                                    # tree at record time; null off a
+                                    # git checkout
       "timings": {name: {"wall_s": float, "repeats": int, ...meta}},
       "speedups": {name: float},    # named baseline/candidate ratios
       "checks": {name: bool}        # e.g. serial-vs-parallel parity
@@ -70,17 +73,15 @@ def time_call(fn: Callable[[], R], repeats: int = 1) -> Tuple[R, float]:
     return result, best
 
 
-def _git_sha_fallback() -> Optional[str]:
-    """Current commit from ``git rev-parse HEAD``; ``None`` off a checkout.
+def _git(*args: str) -> Optional[str]:
+    """Stdout of ``git <args>`` in the working directory; ``None`` on failure.
 
-    The fallback behind ``REPRO_GIT_SHA``: a locally regenerated BENCH
-    report should still say which commit produced it instead of
-    committing ``"git_sha": null``.  Every failure mode (no git binary,
-    not a repository, timeout) degrades to ``None``.
+    Every failure mode (no git binary, not a repository, timeout)
+    degrades to ``None``.
     """
     try:
         completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=10.0,
@@ -90,8 +91,28 @@ def _git_sha_fallback() -> Optional[str]:
         return None
     if completed.returncode != 0:
         return None
-    sha = completed.stdout.strip()
+    return completed.stdout
+
+
+def _git_sha_fallback() -> Optional[str]:
+    """Current commit from ``git rev-parse HEAD``; ``None`` off a checkout.
+
+    The fallback behind ``REPRO_GIT_SHA``: a locally regenerated BENCH
+    report should still say which commit produced it instead of
+    committing ``"git_sha": null``.
+    """
+    sha = (_git("rev-parse", "HEAD") or "").strip()
     return sha or None
+
+
+def _git_dirty() -> Optional[bool]:
+    """Whether the working tree has uncommitted changes; ``None`` off a checkout.
+
+    A report regenerated before its change is committed carries the
+    parent's ``git_sha``; this flag says so.
+    """
+    status = _git("status", "--porcelain")
+    return None if status is None else bool(status.strip())
 
 
 def peak_rss_mb() -> Optional[float]:
@@ -149,7 +170,9 @@ class BenchRecorder:
         environment variable (set by CI) and, when that is unset too,
         falls back to ``git rev-parse HEAD`` -- so locally regenerated
         reports are attributable to a commit.  Stays ``None`` only off
-        a git checkout.
+        a git checkout.  Next to it the report records ``git_dirty``:
+        whether the working tree had uncommitted changes when the
+        recorder was created (``None`` off a git checkout).
     """
 
     def __init__(
@@ -165,6 +188,7 @@ class BenchRecorder:
         if git_sha is None:
             git_sha = os.environ.get("REPRO_GIT_SHA") or _git_sha_fallback()
         self.git_sha = git_sha
+        self.git_dirty = _git_dirty()
         self._timings: Dict[str, BenchTiming] = {}
         self._speedups: Dict[str, float] = {}
         self._checks: Dict[str, bool] = {}
@@ -206,6 +230,7 @@ class BenchRecorder:
             "profile": self.profile,
             "n_jobs": self.n_jobs,
             "git_sha": self.git_sha,
+            "git_dirty": self.git_dirty,
             "timings": {
                 name: timing.as_dict() for name, timing in sorted(self._timings.items())
             },

@@ -565,16 +565,17 @@ class VminServingService:
         its own reason code, and a new wafer-zone coverage alarm is
         recorded as an audited ``COVERAGE_ALARM`` note (``zones``
         labels each chip with its wafer zone; ``None`` skips the
-        per-zone monitors).  Returns the coverage alarm fired by this
-        batch, if any.  Zero labels are a no-op, mirroring the flow
-        contract.
+        per-zone monitors).  The sentinels see the batch before the
+        flow's monitor does, so the zone monitors and the flow's monitor
+        judge the same served interval.  Returns the coverage alarm
+        fired by this batch, if any.  Zero labels are a no-op, mirroring
+        the flow contract.
         """
         with self._lock:
             model = self._model
         if model is None:
             raise RejectedRequest("no servable model to observe labels on")
         was_alarmed = self._coverage_alarmed()
-        alarm = model.observe(X, y)
         verdict: Optional[ShiftVerdict] = None
         guard = self.shift_guard
         if (
@@ -583,7 +584,11 @@ class VminServingService:
             and isinstance(model, RobustVminFlow)
             and np.asarray(y).shape[0] > 0
         ):
+            # The guard goes first: its zone monitors must judge the
+            # interval that was served, before the flow's adaptive
+            # update absorbs these very labels.
             verdict = guard.observe(model, X, y, zones=zones)
+        alarm = model.observe(X, y)
         with self._lock:
             if alarm is not None and self.health.state is ServiceState.READY:
                 self.health.transition(

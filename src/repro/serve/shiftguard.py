@@ -224,6 +224,11 @@ class ShiftGuard:
         -- when ``zones`` labels each chip with its wafer zone -- the
         served interval's hit/miss outcome to that zone's Mondrian
         coverage monitor.  Returns the post-batch :class:`ShiftVerdict`.
+
+        Call it *before* ``flow.observe`` on the same batch: the zone
+        monitors re-serve ``X``, and once the flow's adaptive
+        recalibration is active its update would already have absorbed
+        ``y`` into the interval they judge.
         """
         if not self.armed:
             raise RuntimeError("shift guard is not armed")

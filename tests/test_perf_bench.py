@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -79,6 +80,34 @@ class TestBenchRecorder:
         # HEAD; only off a git repository does it stay None.
         monkeypatch.chdir(tmp_path)
         assert BenchRecorder("training", "smoke").git_sha is None
+
+    def test_git_dirty_tracks_the_working_tree(self, monkeypatch, tmp_path):
+        # Off a git checkout the flag is unknown, not False.
+        monkeypatch.chdir(tmp_path)
+        assert BenchRecorder("training", "smoke").git_dirty is None
+        repo = tmp_path / "checkout"
+        repo.mkdir()
+        monkeypatch.chdir(repo)
+        tracked = repo / "tracked.txt"
+        tracked.write_text("v1\n")
+        config = [
+            "-c", "user.name=bench",
+            "-c", "user.email=bench@example.com",
+            "-c", "commit.gpgsign=false",
+        ]
+        for args in (
+            ["init", "-q"],
+            ["add", "tracked.txt"],
+            ["commit", "-q", "-m", "v1"],
+        ):
+            subprocess.run(["git", *config, *args], check=True, capture_output=True)
+        clean = BenchRecorder("training", "smoke")
+        assert clean.git_dirty is False
+        assert clean.as_dict()["git_dirty"] is False
+        tracked.write_text("v2\n")
+        dirty = BenchRecorder("training", "smoke")
+        assert dirty.git_dirty is True
+        assert dirty.as_dict()["git_dirty"] is True
 
     def test_write_and_load_roundtrip(self, tmp_path):
         rec = self._recorder()

@@ -1,5 +1,7 @@
 """Tests for the serving-side shift guard and its service integration."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,38 @@ class TestServiceIntegration:
         ]
         assert len(entries) == 1
 
+    def test_zone_monitors_judge_the_served_interval(self, tmp_path):
+        """With adaptive recalibration active, a zone monitor must score
+        the interval that was served -- the one the flow's own coverage
+        monitor scores -- not one already updated on the batch's labels."""
+        X, y = _make_data()
+        batch = 40
+        flow = RobustVminFlow(
+            base_model=QuantileLinearRegression(),
+            alpha=0.1,
+            random_state=0,
+            monitor_window=batch,
+            monitor_min_observations=20,
+        ).fit(
+            X[:N_TRAIN],
+            y[:N_TRAIN],
+            fallback_columns=PARAMETRIC,
+            monitor_columns=MONITORS,
+        )
+        guard = ShiftGuard(zone_window=batch)
+        _, service = _service(tmp_path, flow, guard)
+        # Under-covering feedback alarms the flow's monitor, which
+        # switches serving onto the adaptive margins.
+        first = slice(N_TRAIN, N_TRAIN + batch)
+        service.observe(X[first], y[first] + 1.5)
+        served = service.served_model
+        assert served.recalibrations_ == 1
+        assert guard.armed
+        probe = slice(N_TRAIN + batch, N_TRAIN + 2 * batch)
+        service.observe(X[probe], y[probe] + 1.0, zones=np.full(batch, "probe"))
+        # Both monitors hold exactly this batch's outcomes.
+        assert guard.zone_coverage()["probe"] == served.rolling_coverage()
+
     def test_recovery_blocked_while_shift_alarmed(self, tmp_path, lot):
         """Rolling coverage returning to target must NOT re-promote the
         service while an exchangeability alarm is latched."""
@@ -286,18 +320,34 @@ class TestServiceIntegration:
         assert service.last_shift_verdict_ is None
 
 
+@pytest.fixture(scope="module")
+def shift_campaign(tmp_path_factory):
+    """One default shift campaign plus its measured end-to-end wall time."""
+    from repro.eval.stress import run_shift_campaign
+
+    root = tmp_path_factory.mktemp("shift-campaign") / "registry"
+    started = time.perf_counter()
+    report = run_shift_campaign(root)
+    return report, time.perf_counter() - started
+
+
 class TestCampaign:
-    def test_shift_campaign_passes_end_to_end(self, tmp_path):
+    def test_shift_campaign_passes_end_to_end(self, shift_campaign):
         """The committed operating point must detect every injected
         shift, repair (or refuse) correctly, and end READY."""
-        from repro.eval.stress import run_shift_campaign
-
-        report = run_shift_campaign(tmp_path / "registry")
+        report, _ = shift_campaign
         assert report.ok(), report.to_table()
-        assert report.phase("control").detection_latency is None
-        assert report.phase("new_fab").repair == "weighted"
-        assert report.phase("corner_drift").repair == "adaptive"
-        assert report.phase("sensor_recal").repair == "refused+refit"
-        assert report.n_recalibrations >= 1
+        assert report.failed() == ()
+        assert report.rows["control"]["detection_latency"] is None
+        assert report.rows["new_fab"]["repair"] == "weighted"
+        assert report.rows["corner_drift"]["repair"] == "adaptive"
+        assert report.rows["sensor_recal"]["repair"] == "refused+refit"
+        assert report.metrics["n_recalibrations"] >= 1
         # Every downgrade carries an audited reason and detail.
         assert all(reason and detail for reason, detail in report.downgrades)
+
+    def test_phase_wall_times_are_measured(self, shift_campaign):
+        report, total_s = shift_campaign
+        assert list(report.wall_s) == list(report.rows)
+        assert all(seconds > 0.0 for seconds in report.wall_s.values())
+        assert sum(report.wall_s.values()) <= total_s

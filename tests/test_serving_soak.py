@@ -11,7 +11,7 @@ every downgrade carries a recorded reason code.
 import numpy as np
 import pytest
 
-from repro.eval.stress import ServingStressReport, run_serving_campaign
+from repro.eval.stress import CampaignReport, run_serving_campaign
 from repro.models import QuantileLinearRegression
 from repro.robust import RobustVminFlow
 
@@ -61,45 +61,55 @@ def campaign(tmp_path_factory):
 
 class TestSoakInvariants:
     def test_campaign_passes_outright(self, campaign):
-        assert isinstance(campaign, ServingStressReport)
+        assert isinstance(campaign, CampaignReport)
         assert campaign.ok(), campaign.to_table()
+        assert campaign.failed() == ()
 
     def test_never_serves_unverified_artifacts(self, campaign):
-        assert campaign.unverified_serves == 0
+        assert campaign.metrics["unverified_serves"] == 0
+        assert campaign.checks["never_served_unverified"]
 
     def test_hot_swap_drops_zero_requests(self, campaign):
-        assert campaign.dropped_during_swap == 0
+        assert campaign.metrics["dropped_during_swap"] == 0
+        assert campaign.checks["zero_dropped_during_swap"]
 
     def test_coverage_within_tolerance(self, campaign):
-        assert campaign.coverage >= (
-            campaign.target_coverage - campaign.tolerance
+        metrics = campaign.metrics
+        assert metrics["coverage"] >= (
+            metrics["target_coverage"] - metrics["tolerance"]
         )
-        assert campaign.target_coverage == pytest.approx(0.9)
+        assert metrics["target_coverage"] == pytest.approx(0.9)
+        assert campaign.checks["coverage_within_tolerance"]
 
     def test_transient_crashes_were_retried_away(self, campaign):
         # Phase 2 injects a real SIGKILLed worker plus in-process
         # crashes; all of them must have been recovered, not dropped.
-        assert campaign.n_retried >= 1
-        assert campaign.n_served == campaign.n_requests - campaign.n_overloaded
+        metrics = campaign.metrics
+        assert metrics["n_retried"] >= 1
+        assert metrics["n_served"] == metrics["n_requests"] - metrics["n_overloaded"]
 
     def test_drift_triggered_recalibration(self, campaign):
-        assert campaign.n_recalibrations >= 1
+        assert campaign.metrics["n_recalibrations"] >= 1
+        assert campaign.checks["recalibrated_under_drift"]
         # Recalibration republishes, so the registry grew beyond the
         # seed version plus the phase-3 swap target.
-        assert campaign.n_versions >= 3
+        assert campaign.metrics["n_versions"] >= 3
 
     def test_corruption_was_quarantined(self, campaign):
-        assert campaign.n_quarantined >= 1
+        assert campaign.metrics["n_quarantined"] >= 1
+        assert campaign.checks["corrupt_version_quarantined"]
 
     def test_every_downgrade_has_a_reason_code(self, campaign):
         assert campaign.downgrades, "soak recorded no downgrades at all"
         assert all(reason for reason, _ in campaign.downgrades)
+        assert campaign.checks["all_downgrades_audited"]
         reasons = {reason for reason, _ in campaign.downgrades}
         assert "artifact_corrupt" in reasons
         assert "rolled_back" in reasons
 
     def test_service_ends_ready(self, campaign):
-        assert campaign.final_state == "ready"
+        assert campaign.metrics["final_state"] == "ready"
+        assert campaign.checks["ends_ready"]
 
     def test_report_table_carries_the_audit(self, campaign):
         table = campaign.to_table()

@@ -16,7 +16,10 @@ packages used in the paper (scikit-learn, XGBoost, CatBoost, PyTorch):
   (Table I comparison row),
 * :mod:`repro.models.tables` -- compiled decision-table inference kernels:
   fitted tree ensembles flattened into numpy tensors scored batch-at-once,
-  bit-identical to the per-tree reference loop.
+  bit-identical to summing the trees one by one, and
+  :class:`~repro.models.tables.BoostedTreesRegressor`, the base through
+  which both boosting models score (pre-kernel pickles compile when
+  unpickled).
 
 All estimators follow a small scikit-learn-like protocol defined in
 :mod:`repro.models.base`: ``fit(X, y) -> self``, ``predict(X) -> ndarray``,
@@ -46,6 +49,7 @@ from repro.models.oblivious import ObliviousBoostingRegressor
 from repro.models.optim import SGD, Adam
 from repro.models.quantile import PackageDefaultQuantileBand, QuantileBandRegressor
 from repro.models.tables import (
+    BoostedTreesRegressor,
     CompiledDepthwiseTables,
     CompiledObliviousTables,
     compile_depthwise,
@@ -56,6 +60,7 @@ from repro.models.tree import DecisionTreeRegressor
 __all__ = [
     "Adam",
     "BaseRegressor",
+    "BoostedTreesRegressor",
     "CompiledDepthwiseTables",
     "CompiledObliviousTables",
     "DecisionTreeRegressor",

@@ -20,27 +20,17 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.models.base import (
-    BaseRegressor,
-    check_fitted,
-    check_random_state,
-    check_X,
-    check_X_y,
-)
+from repro.models.base import check_fitted, check_X_y
 from repro.models.binning import BinnedDataset, resolve_binned_dataset
 from repro.models.histtree import grow_histogram_tree
-from repro.models.losses import (
-    mse_gradient_hessian,
-    pinball_gradient_hessian,
-    validate_quantile,
-)
-from repro.models.tables import compile_depthwise
+from repro.models.losses import validate_quantile
+from repro.models.tables import BoostedTreesRegressor, compile_depthwise
 from repro.models.tree import GradientTree, TreeGrowthParams
 
 __all__ = ["GradientBoostingRegressor"]
 
 
-class GradientBoostingRegressor(BaseRegressor):
+class GradientBoostingRegressor(BoostedTreesRegressor):
     """Newton-boosted regression trees with XGBoost defaults.
 
     Parameters
@@ -126,10 +116,7 @@ class GradientBoostingRegressor(BaseRegressor):
         self.random_state = random_state
         self.trees_: Optional[List[GradientTree]] = None
 
-    def _gradients(self, y: np.ndarray, prediction: np.ndarray):
-        if self.quantile is None:
-            return mse_gradient_hessian(y, prediction)
-        return pinball_gradient_hessian(y, prediction, self.quantile)
+    _compile = staticmethod(compile_depthwise)
 
     def _loss(self, y: np.ndarray, prediction: np.ndarray) -> float:
         from repro.models.losses import mse_loss, pinball_loss
@@ -182,9 +169,7 @@ class GradientBoostingRegressor(BaseRegressor):
         :class:`~repro.models.tables.CompiledDepthwiseTables`) that
         ``predict``/``staged_predict`` evaluate batch-at-once.
         """
-        X, y = check_X_y(X, y)
-        self.n_features_in_ = X.shape[1]
-        rng = check_random_state(self.random_state)
+        X, y, rng = self._start_fit(X, y)
         if early_stopping_rounds is not None:
             if early_stopping_rounds < 1:
                 raise ValueError(
@@ -200,13 +185,6 @@ class GradientBoostingRegressor(BaseRegressor):
                 )
         else:
             X_val = y_val = None
-
-        if self.quantile is None:
-            self.base_score_ = float(np.mean(y))
-        else:
-            # Starting from the empirical quantile keeps early rounds from
-            # wasting capacity on a global shift.
-            self.base_score_ = float(np.quantile(y, self.quantile))
 
         params = TreeGrowthParams(
             max_depth=self.max_depth,
@@ -291,67 +269,8 @@ class GradientBoostingRegressor(BaseRegressor):
         self.trees_ = trees
         self.eval_history_ = eval_history
         self.best_round_ = best_round if X_val is not None else None
-        self.compiled_ = compile_depthwise(trees)
+        self.compiled_ = self._compile(trees)
         return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Boosted prediction for every row of ``X``.
-
-        Scores through the compiled decision-table kernel when the fit
-        produced one (``compiled_``), falling back to the per-tree
-        reference loop for models unpickled from older bundles.  The two
-        paths are bit-identical; comparisons always happen in float64
-        regardless of the dtype of ``X``.
-        """
-        check_fitted(self, "trees_")
-        X = self._check_predict_X(X)
-        compiled = getattr(self, "compiled_", None)
-        if compiled is not None:
-            return compiled.predict(X, self.base_score_, self.learning_rate)
-        return self._predict_loop(X)
-
-    def staged_predict(self, X: np.ndarray) -> np.ndarray:
-        """Predictions after each boosting round, shape (n_estimators, n).
-
-        Useful for picking an early-stopping round and for the learning-
-        curve diagnostics in the benchmarks.  Uses the compiled kernel
-        when available, like :meth:`predict`; the last stage always
-        equals ``predict(X)`` exactly.
-        """
-        check_fitted(self, "trees_")
-        X = self._check_predict_X(X)
-        compiled = getattr(self, "compiled_", None)
-        if compiled is not None:
-            return compiled.staged_predict(
-                X, self.base_score_, self.learning_rate
-            )
-        return self._staged_predict_loop(X)
-
-    def _check_predict_X(self, X: np.ndarray) -> np.ndarray:
-        X = check_X(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features, model was fitted with "
-                f"{self.n_features_in_}"
-            )
-        return X
-
-    def _predict_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-tree accumulation: the parity oracle for
-        ``compiled_`` and the fallback for pre-kernel pickles."""
-        prediction = np.full(X.shape[0], self.base_score_)
-        for tree in self.trees_:
-            prediction += self.learning_rate * tree.predict(X)
-        return prediction
-
-    def _staged_predict_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-round accumulation matching ``_predict_loop``."""
-        prediction = np.full(X.shape[0], self.base_score_)
-        stages = np.empty((len(self.trees_), X.shape[0]))
-        for i, tree in enumerate(self.trees_):
-            prediction = prediction + self.learning_rate * tree.predict(X)
-            stages[i] = prediction
-        return stages
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -26,24 +26,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.models.base import (
-    BaseRegressor,
-    check_fitted,
-    check_random_state,
-    check_X,
-    check_X_y,
-)
+from repro.models.base import check_fitted
 from repro.models.binning import (
     BinnedDataset,
     level_histograms,
     resolve_binned_dataset,
 )
-from repro.models.losses import (
-    mse_gradient_hessian,
-    pinball_gradient_hessian,
-    validate_quantile,
-)
-from repro.models.tables import compile_oblivious
+from repro.models.losses import validate_quantile
+from repro.models.tables import BoostedTreesRegressor, compile_oblivious
 
 __all__ = ["ObliviousBoostingRegressor", "ObliviousTree"]
 
@@ -86,7 +76,7 @@ class ObliviousTree:
         return self.leaf_values[self.leaf_indices(X)]
 
 
-class ObliviousBoostingRegressor(BaseRegressor):
+class ObliviousBoostingRegressor(BoostedTreesRegressor):
     """Gradient boosting over oblivious trees with CatBoost-like defaults.
 
     Parameters
@@ -183,10 +173,7 @@ class ObliviousBoostingRegressor(BaseRegressor):
         self.random_state = random_state
         self.trees_: Optional[List[ObliviousTree]] = None
 
-    def _gradients(self, y: np.ndarray, prediction: np.ndarray):
-        if self.quantile is None:
-            return mse_gradient_hessian(y, prediction)
-        return pinball_gradient_hessian(y, prediction, self.quantile)
+    _compile = staticmethod(compile_oblivious)
 
     def _leaf_values(
         self,
@@ -326,19 +313,12 @@ class ObliviousBoostingRegressor(BaseRegressor):
         :class:`~repro.models.binning.BinnedDataset` whose codes come
         from this very ``X`` at this ``max_bins`` (bit-identical to
         binning from scratch)."""
-        X, y = check_X_y(X, y)
-        self.n_features_in_ = X.shape[1]
-        rng = check_random_state(self.random_state)
+        X, y, rng = self._start_fit(X, y)
         dataset = resolve_binned_dataset(X, self.max_bins, binned)
         binned = dataset.codes
         edges = dataset.binner.edges_
         n_bins = dataset.codes_max + 1
         n_samples, n_features = X.shape
-
-        if self.quantile is None:
-            self.base_score_ = float(np.mean(y))
-        else:
-            self.base_score_ = float(np.quantile(y, self.quantile))
 
         prediction = np.full(n_samples, self.base_score_)
         trees: List[ObliviousTree] = []
@@ -409,68 +389,8 @@ class ObliviousBoostingRegressor(BaseRegressor):
             prediction += self.learning_rate * leaf_values[leaf_idx]
 
         self.trees_ = trees
-        self.compiled_ = compile_oblivious(trees)
+        self.compiled_ = self._compile(trees)
         return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Boosted prediction for every row of ``X``.
-
-        Scores through the compiled decision-table kernel when the fit
-        produced one (``compiled_``,
-        :class:`~repro.models.tables.CompiledObliviousTables`), falling
-        back to the per-tree reference loop for models unpickled from
-        older bundles.  The two paths are bit-identical; comparisons
-        always happen in float64 regardless of the dtype of ``X``.
-        """
-        check_fitted(self, "trees_")
-        X = self._check_predict_X(X)
-        compiled = getattr(self, "compiled_", None)
-        if compiled is not None:
-            return compiled.predict(X, self.base_score_, self.learning_rate)
-        return self._predict_loop(X)
-
-    def staged_predict(self, X: np.ndarray) -> np.ndarray:
-        """Predictions after each boosting round, shape (n_trees, n).
-
-        Mirrors :meth:`GradientBoostingRegressor.staged_predict`; used by
-        convergence diagnostics.  The last stage always equals
-        ``predict(X)`` exactly.
-        """
-        check_fitted(self, "trees_")
-        X = self._check_predict_X(X)
-        compiled = getattr(self, "compiled_", None)
-        if compiled is not None:
-            return compiled.staged_predict(
-                X, self.base_score_, self.learning_rate
-            )
-        return self._staged_predict_loop(X)
-
-    def _check_predict_X(self, X: np.ndarray) -> np.ndarray:
-        X = check_X(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features, model was fitted with "
-                f"{self.n_features_in_}"
-            )
-        return X
-
-    def _predict_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-tree accumulation: the parity oracle for
-        ``compiled_`` and the fallback for pre-kernel pickles.  Depth-0
-        tables predict like any other tree (see :class:`ObliviousTree`)."""
-        prediction = np.full(X.shape[0], self.base_score_)
-        for tree in self.trees_:
-            prediction += self.learning_rate * tree.predict(X)
-        return prediction
-
-    def _staged_predict_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-round accumulation matching ``_predict_loop``."""
-        prediction = np.full(X.shape[0], self.base_score_)
-        stages = np.empty((len(self.trees_), X.shape[0]))
-        for i, tree in enumerate(self.trees_):
-            prediction = prediction + self.learning_rate * tree.predict(X)
-            stages[i] = prediction
-        return stages
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -1,12 +1,10 @@
 """Compiled decision-table inference kernels for fitted tree ensembles.
 
-The boosting models fit trees one at a time, and their reference
-``predict`` walks them one at a time too -- a Python loop over 100
-trees per batch.  Once ``repro.serve`` made ``predict`` a long-lived
-hot path, that loop became the dominant serving cost.  This module
-compiles a *fitted* ensemble into flat numpy tensors -- decision tables
--- that score a whole batch across **all trees at once**, with no
-per-tree Python recursion:
+The boosting models fit trees one at a time; walking them one at a time
+at predict time -- a Python loop over 100 trees per batch -- would be
+the dominant serving cost.  This module compiles a *fitted* ensemble
+into flat numpy tensors -- decision tables -- that score a whole batch
+across **all trees at once**, with no per-tree Python recursion:
 
 * :class:`CompiledDepthwiseTables` packs a list of
   :class:`~repro.models.tree.GradientTree` objects into padded
@@ -21,6 +19,9 @@ per-tree Python recursion:
   ensemble maximum are padded with ``+inf`` thresholds and
   ``np.repeat``-expanded leaf values, which maps every padded leaf code
   back to the right original leaf.
+* :class:`BoostedTreesRegressor` is the base of both boosting models
+  and their only scoring path: ``predict``/``staged_predict`` evaluate
+  the compiled tables and sum the boosted rounds.
 
 **Parity contract.**  Both kernels are bit-identical to the reference
 per-tree loop, not merely close: comparisons use the same operators on
@@ -30,8 +31,8 @@ oblivious tables), and the boosted sum accumulates tree contributions
 *sequentially* in fitting order -- ``p += lr * v_t`` per tree -- rather
 than through ``np.sum``, whose pairwise reduction would change the
 rounding.  The test suite asserts ``np.array_equal`` (exact float
-equality) between the compiled and reference paths across random
-ensembles.
+equality) against a per-tree reference loop, which lives in the tests
+only, across random ensembles.
 
 **Precision contract.**  Thresholds are stored as float64 and every
 comparison happens in float64: :func:`tree_values` casts ``X`` on
@@ -42,19 +43,29 @@ values between a threshold's float32 neighbours differently.
 
 Compilation happens at ``fit`` time (the boosting models store the
 result as a ``compiled_`` fitted attribute), never inside ``predict``
--- prediction stays read-only.  Bundles pickled before this module
-existed simply lack the attribute and keep using the reference loop;
-:func:`repro.serve.compiled.ensure_compiled` upgrades them on load.
+-- prediction stays read-only.  Bundles pickled before the tables
+existed lack the attribute; :meth:`BoostedTreesRegressor.__setstate__`
+compiles them when they are unpickled, on every load path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.models.base import (
+    BaseRegressor,
+    check_fitted,
+    check_random_state,
+    check_X,
+    check_X_y,
+)
+from repro.models.losses import mse_gradient_hessian, pinball_gradient_hessian
+
 __all__ = [
+    "BoostedTreesRegressor",
     "CompiledDepthwiseTables",
     "CompiledObliviousTables",
     "compile_depthwise",
@@ -77,8 +88,8 @@ def _boosted_sum(
 ) -> np.ndarray:
     """Sequentially accumulate per-tree values into the boosted prediction.
 
-    The per-tree loop is deliberate: the reference ``predict`` adds one
-    shrunken tree at a time, and floating-point addition is not
+    The per-tree loop is deliberate: boosting adds one shrunken tree at
+    a time (as ``fit`` does), and floating-point addition is not
     associative, so a vectorised ``np.sum`` over the tree axis (pairwise
     reduction) would produce different low-order bits.  Looping over
     ``n_trees`` columns of an already-materialised matrix costs
@@ -179,18 +190,6 @@ class CompiledDepthwiseTables:
             node = np.where(interior, child, node)
         return self.value[tree_range, node]
 
-    def predict(
-        self, X: np.ndarray, base_score: float, learning_rate: float
-    ) -> np.ndarray:
-        """Boosted prediction, bit-identical to the per-tree loop."""
-        return _boosted_sum(self.tree_values(X), base_score, learning_rate)
-
-    def staged_predict(
-        self, X: np.ndarray, base_score: float, learning_rate: float
-    ) -> np.ndarray:
-        """Per-round boosted predictions, shape ``(n_trees, n_rows)``."""
-        return _boosted_stages(self.tree_values(X), base_score, learning_rate)
-
 
 @dataclass(frozen=True)
 class CompiledObliviousTables:
@@ -246,18 +245,6 @@ class CompiledObliviousTables:
             bit = X[:, self.features[:, level]] > self.thresholds[None, :, level]
             index = (index << 1) | bit
         return self.leaf_values[np.arange(self.n_trees), index]
-
-    def predict(
-        self, X: np.ndarray, base_score: float, learning_rate: float
-    ) -> np.ndarray:
-        """Boosted prediction, bit-identical to the per-tree loop."""
-        return _boosted_sum(self.tree_values(X), base_score, learning_rate)
-
-    def staged_predict(
-        self, X: np.ndarray, base_score: float, learning_rate: float
-    ) -> np.ndarray:
-        """Per-round boosted predictions, shape ``(n_trees, n_rows)``."""
-        return _boosted_stages(self.tree_values(X), base_score, learning_rate)
 
 
 def compile_depthwise(trees: Sequence[Any]) -> CompiledDepthwiseTables:
@@ -328,3 +315,93 @@ def compile_oblivious(trees: Sequence[Any]) -> CompiledObliviousTables:
     return CompiledObliviousTables(
         features=features, thresholds=thresholds, leaf_values=leaf_values
     )
+
+
+class BoostedTreesRegressor(BaseRegressor):
+    """Shared fit prologue and scoring path of the boosted tree ensembles.
+
+    :class:`~repro.models.gbm.GradientBoostingRegressor` and
+    :class:`~repro.models.oblivious.ObliviousBoostingRegressor` differ in
+    how they grow trees, not in how they score them.  Each subclass sets
+    ``_compile`` to its table compiler and ends ``fit`` with
+    ``self.compiled_ = self._compile(trees)``; everything else about
+    prediction lives here, so both families score only through their
+    compiled tables.
+
+    Subclasses must take ``learning_rate``, ``quantile`` and
+    ``random_state`` constructor parameters.
+    """
+
+    trees_: Optional[List[Any]]
+
+    @staticmethod
+    def _compile(trees: Sequence[Any]) -> Any:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Restore a pickled model, compiling pre-kernel bundles.
+
+        Models pickled before the decision tables existed carry
+        ``trees_`` but no ``compiled_``; compiling them here keeps every
+        load path (registry, ``pickle.load``, ``copy.deepcopy``) on the
+        one scoring path.
+        """
+        self.__dict__.update(state)
+        if state.get("compiled_") is None and state.get("trees_") is not None:
+            self.compiled_ = self._compile(self.trees_)
+
+    def _start_fit(
+        self, X: np.ndarray, y: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.random.Generator]:
+        """Validate ``(X, y)``, set ``n_features_in_`` and ``base_score_``.
+
+        Boosting starts from the mean (squared error) or the empirical
+        ``quantile`` of ``y`` (pinball), which keeps early rounds from
+        wasting capacity on a global shift.  Returns the validated data
+        and the fit's random generator.
+        """
+        X, y = check_X_y(X, y)
+        self.n_features_in_ = X.shape[1]
+        rng = check_random_state(self.random_state)
+        if self.quantile is None:
+            self.base_score_ = float(np.mean(y))
+        else:
+            self.base_score_ = float(np.quantile(y, self.quantile))
+        return X, y, rng
+
+    def _gradients(
+        self, y: np.ndarray, prediction: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        if self.quantile is None:
+            return mse_gradient_hessian(y, prediction)
+        return pinball_gradient_hessian(y, prediction, self.quantile)
+
+    def _tree_values(self, X: np.ndarray) -> np.ndarray:
+        check_fitted(self, "compiled_")
+        X = check_X(X)
+        if X.shape[1] != self.n_features_in_:
+            raise ValueError(
+                f"X has {X.shape[1]} features, model was fitted with "
+                f"{self.n_features_in_}"
+            )
+        return self.compiled_.tree_values(X)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Boosted prediction for every row of ``X``.
+
+        Comparisons happen in float64 whatever the dtype of ``X``, and
+        the result is bit-identical to summing the trees one at a time.
+        """
+        return _boosted_sum(
+            self._tree_values(X), self.base_score_, self.learning_rate
+        )
+
+    def staged_predict(self, X: np.ndarray) -> np.ndarray:
+        """Predictions after each boosting round, shape ``(n_trees, n)``.
+
+        Used for picking an early-stopping round and for learning-curve
+        diagnostics; the last stage always equals ``predict(X)`` exactly.
+        """
+        return _boosted_stages(
+            self._tree_values(X), self.base_score_, self.learning_rate
+        )

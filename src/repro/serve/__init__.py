@@ -8,7 +8,9 @@ has been fitted.  Four layers, each usable on its own:
   artifact runtime: atomic publication with SHA-256 sidecars, verified
   loads (a bundle is never unpickled unverified), quarantine of corrupt
   versions, and an atomically swapped ``LATEST`` pointer for
-  zero-downtime hot-swaps;
+  zero-downtime hot-swaps; every published manifest records the
+  decision-table kernels the bundle scores through
+  (:func:`compiled_summary`, see :mod:`repro.models.tables`);
 * :mod:`repro.serve.health` -- the audited readiness state machine
   (``STARTING -> READY <-> DEGRADED -> DRAINING``), the fallback-chain
   vocabulary (:class:`FallbackLevel`), and the closed
@@ -28,19 +30,13 @@ has been fitted.  Four layers, each usable on its own:
   new alarms audited as ``EXCHANGEABILITY_ALARM`` /
   ``COVARIATE_SHIFT`` downgrades and
   :meth:`VminServingService.repair_shift` as the weighted-conformal
-  recovery (or refusal) path;
-* :mod:`repro.serve.compiled` -- the decision-table kernel adapter:
-  :func:`ensure_compiled` upgrades loaded bundles onto the batch-at-once
-  inference kernels of :mod:`repro.models.tables`, and
-  :func:`compiled_summary` records the kernels in every published
-  manifest.
+  recovery (or refusal) path.
 
 The soak harness (:func:`repro.eval.stress.run_serving_campaign`)
 exercises all four under injected artifact corruption, worker crashes,
 and covariate drift; ``python -m repro serve`` is the CLI entry point.
 """
 
-from repro.serve.compiled import compiled_summary, ensure_compiled
 from repro.serve.health import (
     FallbackLevel,
     HealthStateMachine,
@@ -55,6 +51,7 @@ from repro.serve.registry import (
     ModelRegistry,
     ModelVersion,
     RegistryError,
+    compiled_summary,
 )
 from repro.serve.service import (
     Overloaded,
@@ -86,5 +83,4 @@ __all__ = [
     "StateTransition",
     "VminServingService",
     "compiled_summary",
-    "ensure_compiled",
 ]

@@ -44,8 +44,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.models.tables import BoostedTreesRegressor
 from repro.runtime.artifacts import (
     ArtifactCorruptionError,
     ArtifactError,
@@ -55,9 +56,14 @@ from repro.runtime.artifacts import (
     write_json_atomic,
     write_text_atomic,
 )
-from repro.serve.compiled import compiled_summary, ensure_compiled
 
-__all__ = ["MANIFEST_SCHEMA_VERSION", "ModelRegistry", "ModelVersion", "RegistryError"]
+__all__ = [
+    "MANIFEST_SCHEMA_VERSION",
+    "ModelRegistry",
+    "ModelVersion",
+    "RegistryError",
+    "compiled_summary",
+]
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -65,6 +71,59 @@ _BUNDLE_NAME = "bundle.pkl"
 _MANIFEST_NAME = "manifest.json"
 _LATEST_NAME = "LATEST"
 _VERSION_PATTERN = re.compile(r"^v(\d{4,})$")
+
+# Fitted-attribute edges the kernel walk follows from a flow object down
+# to its boosting ensembles.  Templates (unfitted ``estimator`` params)
+# are deliberately not walked: only models that actually score traffic
+# carry kernels.
+_CHILD_ATTRIBUTES = (
+    "primary_",   # RobustVminFlow -> VminPredictionFlow
+    "fallback_",  # RobustVminFlow -> monitor-only VminPredictionFlow
+    "cqr_",       # VminPredictionFlow -> ConformalizedQuantileRegressor
+    "band_",      # ConformalizedQuantileRegressor -> QuantileBandRegressor
+    "lower_",     # QuantileBandRegressor -> quantile model
+    "upper_",     # QuantileBandRegressor -> quantile model
+    "model_",     # CFSSelectedRegressor -> inner fitted model
+)
+
+
+def _iter_ensembles(model: Any) -> Iterator[BoostedTreesRegressor]:
+    """Yield every boosting ensemble reachable from ``model``.
+
+    Depth-first over the known fitted-attribute edges, cycle-safe (a
+    visited set on object identity), and silent on unknown objects --
+    the registry stores arbitrary picklables and the walk must never
+    make publishing one fail.
+    """
+    stack = [model]
+    seen = set()
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, BoostedTreesRegressor):
+            yield obj
+            continue
+        for name in _CHILD_ATTRIBUTES:
+            child = getattr(obj, name, None)
+            if child is not None:
+                stack.append(child)
+
+
+def compiled_summary(model: Any) -> List[Dict[str, Any]]:
+    """Manifest-ready description of the kernels ``model`` scores through.
+
+    One entry per reachable fitted boosting ensemble, in walk order; an
+    empty list means the model holds no fitted ensembles (e.g. a
+    parametric-only flow) or is not a recognised flow at all.
+    """
+    summaries: List[Dict[str, Any]] = []
+    for ensemble in _iter_ensembles(model):
+        kernel = getattr(ensemble, "compiled_", None)
+        if kernel is not None:
+            summaries.append(kernel.summary())
+    return summaries
 
 
 class RegistryError(ArtifactError):
@@ -226,14 +285,14 @@ class ModelRegistry:
 
         Notes
         -----
-        Publishing compiles the model's boosting ensembles into
-        decision-table kernels first
-        (:func:`~repro.serve.compiled.ensure_compiled`), so the pickled
-        bundle is self-contained: a service that loads it scores
-        batch-at-once without recompiling.  The manifest's ``compiled``
-        key records the kernels (one summary per ensemble; empty for
-        models without any), making the scoring path auditable without
-        unpickling the bundle.
+        The manifest's ``compiled`` key records the decision-table
+        kernels the bundle scores through (:func:`compiled_summary`: one
+        summary per boosting ensemble; empty for models without any),
+        making the scoring path auditable without unpickling the bundle.
+        Boosting ensembles compile at ``fit`` and, for bundles pickled
+        before the kernels existed, when unpickled
+        (:class:`~repro.models.tables.BoostedTreesRegressor`), so nothing
+        here has to compile.
         """
         with self._lock:
             if parent is not None and not (self.versions_dir / parent).is_dir():
@@ -250,7 +309,6 @@ class ModelRegistry:
             path = self.versions_dir / name
             path.mkdir(parents=False, exist_ok=False)
 
-            ensure_compiled(model)
             bundle_path = path / _BUNDLE_NAME
             with atomic_path(bundle_path) as tmp:
                 tmp.write_bytes(pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL))

@@ -18,7 +18,8 @@ exactly the concerns that belong *outside* the model:
 * **deadlines and retries** -- each request runs inside a cooperative
   :func:`~repro.runtime.watchdog.deadline_scope` and transient faults
   (crashed workers, timeouts) re-run under a deterministic
-  :class:`~repro.runtime.retry.RetryPolicy`;
+  :class:`~repro.runtime.retry.RetryPolicy` keyed on a request id
+  that is unique even under concurrent ``score`` calls;
 * **hot-swap** -- :meth:`VminServingService.hot_swap` atomically
   replaces the served model; in-flight requests keep the snapshot they
   started with, so a swap drops zero requests by construction;
@@ -54,7 +55,6 @@ from repro.robust.flow import RobustVminFlow
 from repro.runtime.artifacts import ArtifactError
 from repro.runtime.retry import RetryPolicy, run_attempts
 from repro.runtime.watchdog import check_deadline, deadline_scope
-from repro.serve.compiled import ensure_compiled
 from repro.serve.health import (
     FallbackLevel,
     HealthStateMachine,
@@ -231,6 +231,7 @@ class VminServingService:
         self.n_served_ = 0
         self.n_rejected_ = 0
         self.n_overloaded_ = 0
+        self._next_request_id = 0
         # Audit set: every version name that passed checksum verification
         # before being installed (plus the parametric marker).  The soak
         # harness asserts each ServingResult.model_version is in here --
@@ -317,10 +318,6 @@ class VminServingService:
                     f"{name}: {error}",
                 )
                 continue  # registry repointed LATEST; try the next one
-            # Bundles published before the decision-table kernels existed
-            # carry plain per-tree ensembles; compile them once at load
-            # so every served batch goes through the fast path.
-            ensure_compiled(model)
             self._model = model
             self._version = record.name
             self.verified_versions_.add(record.name)
@@ -338,7 +335,6 @@ class VminServingService:
             self._arm_shift_guard()
             return self._level
         if self.parametric_model is not None:
-            ensure_compiled(self.parametric_model)
             self._model = self.parametric_model
             self._version = PARAMETRIC_VERSION
             self._level = FallbackLevel.PARAMETRIC
@@ -451,15 +447,23 @@ class VminServingService:
             guard is not None and guard.armed and guard.verdict().any_alarm()
         )
 
-    def _snapshot(self) -> Tuple[RobustVminFlow, str, FallbackLevel]:
-        """Consistent (model, version, level) triple for one request."""
+    def _snapshot(self) -> Tuple[RobustVminFlow, str, FallbackLevel, int]:
+        """Consistent (model, version, level, request id) for one request.
+
+        Ids are allocated under the lock, so concurrent requests never
+        share one; a serial caller sees each id equal the number of
+        requests served or rejected before it.
+        """
         with self._lock:
+            request_id = self._next_request_id
+            self._next_request_id += 1
             if self._model is None:
+                self.n_rejected_ += 1
                 raise RejectedRequest(
                     "no servable model: registry exhausted and no "
                     "parametric fallback configured"
                 )
-            return self._model, self._version, self._level
+            return self._model, self._version, self._level, request_id
 
     # -- admission control -----------------------------------------------------
     def _admit(self) -> None:
@@ -477,7 +481,8 @@ class VminServingService:
             self._waiting += 1
         try:
             if not self._slots.acquire(timeout=self.config.queue_timeout_s):
-                self.n_overloaded_ += 1
+                with self._waiting_lock:
+                    self.n_overloaded_ += 1
                 raise Overloaded(
                     f"no execution slot within queue_timeout_s="
                     f"{self.config.queue_timeout_s:g}"
@@ -501,15 +506,16 @@ class VminServingService:
         """
         started = time.perf_counter()
         if not self.health.ready:
-            self.n_rejected_ += 1
+            with self._lock:
+                self.n_rejected_ += 1
+                self._next_request_id += 1
             raise RejectedRequest(
                 f"service is {self.health.state.value}, not accepting requests"
             )
         self._admit()
         try:
-            model, version, level = self._snapshot()
+            model, version, level, request_id = self._snapshot()
             state = self.health.state
-            request_id = self.n_served_ + self.n_rejected_
 
             def score_once(item: object) -> DegradedPrediction:
                 check_deadline()
@@ -530,11 +536,12 @@ class VminServingService:
                 policy=self.config.retry_policy,
                 task_key=request_id,
             )
-            if not attempt.ok:
-                self.n_rejected_ += 1
-                attempt.unwrap()
-            prediction = attempt.value
-            self.n_served_ += 1
+            with self._lock:
+                if attempt.ok:
+                    self.n_served_ += 1
+                else:
+                    self.n_rejected_ += 1
+            prediction = attempt.unwrap()
             return ServingResult(
                 prediction=prediction,
                 model_version=version,

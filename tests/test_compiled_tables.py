@@ -1,13 +1,18 @@
 """Bit-identity of the compiled decision-table kernels.
 
-The compiled fast path is only admissible because it is *exactly* the
-reference per-tree loop, not an approximation of it: every test here
-asserts ``np.array_equal`` (same floats, bit for bit), never
-``allclose``.  Coverage spans both ensemble families, both split
-finders, depths 0-8, early-stopped models, float32 boundary inputs,
-the serve-side ``ensure_compiled`` upgrade, and an end-to-end CQR
-interval comparison through :class:`~repro.robust.flow.RobustVminFlow`.
+The boosting models score only through their compiled tables, which is
+admissible because the tables are *exactly* the per-tree reference loop
+(:func:`_predict_loop`, kept here as the oracle), not an approximation
+of it: every test asserts ``np.array_equal`` (same floats, bit for
+bit), never ``allclose``.  Coverage spans both ensemble families, both
+split finders, depths 0-8, early-stopped models, float32 boundary
+inputs, pre-kernel pickles (compiled when unpickled, also through the
+registry and the serving service), and an end-to-end CQR interval
+comparison through :class:`~repro.robust.flow.RobustVminFlow`.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -21,12 +26,32 @@ from repro.models.tables import (
     compile_oblivious,
 )
 from repro.models.tree import GradientTree
-from repro.serve.compiled import compiled_summary, ensure_compiled
+from repro.serve import compiled_summary
+
+
+def _predict_loop(model, X):
+    """Per-tree reference accumulation: the oracle for ``predict``."""
+    X = np.asarray(X, dtype=np.float64)
+    prediction = np.full(X.shape[0], model.base_score_)
+    for tree in model.trees_:
+        prediction += model.learning_rate * tree.predict(X)
+    return prediction
+
+
+def _staged_predict_loop(model, X):
+    """Per-round reference accumulation matching :func:`_predict_loop`."""
+    X = np.asarray(X, dtype=np.float64)
+    prediction = np.full(X.shape[0], model.base_score_)
+    stages = np.empty((len(model.trees_), X.shape[0]))
+    for index, tree in enumerate(model.trees_):
+        prediction = prediction + model.learning_rate * tree.predict(X)
+        stages[index] = prediction
+    return stages
 
 
 def _strip_compiled(model):
-    """Remove every compiled kernel so predict uses the reference loop."""
-    from repro.serve.compiled import _iter_ensembles
+    """Remove every compiled kernel, as in a bundle pickled before them."""
+    from repro.serve.registry import _iter_ensembles
 
     for ensemble in _iter_ensembles(model):
         if hasattr(ensemble, "compiled_"):
@@ -55,7 +80,7 @@ class TestDepthwiseParity:
             random_state=0,
         ).fit(Xtr, ytr)
         assert isinstance(model.compiled_, CompiledDepthwiseTables)
-        assert np.array_equal(model.predict(Xte), model._predict_loop(Xte))
+        assert np.array_equal(model.predict(Xte), _predict_loop(model, Xte))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_ensembles_with_sampling(self, rng, seed):
@@ -68,7 +93,7 @@ class TestDepthwiseParity:
             random_state=seed,
         ).fit(X, y)
         Xte = rng.normal(size=(40, 7))
-        assert np.array_equal(model.predict(Xte), model._predict_loop(Xte))
+        assert np.array_equal(model.predict(Xte), _predict_loop(model, Xte))
 
     def test_staged_predict_bit_identical(self, regression_data):
         Xtr, ytr, Xte = regression_data
@@ -76,7 +101,7 @@ class TestDepthwiseParity:
             n_estimators=10, random_state=0
         ).fit(Xtr, ytr)
         stages = model.staged_predict(Xte)
-        assert np.array_equal(stages, model._staged_predict_loop(Xte))
+        assert np.array_equal(stages, _staged_predict_loop(model, Xte))
         assert np.array_equal(stages[-1], model.predict(Xte))
 
     def test_tree_values_columns_match_per_tree_predict(self, regression_data):
@@ -100,7 +125,7 @@ class TestDepthwiseParity:
         assert len(model.trees_) < 100
         assert model.compiled_.n_trees == len(model.trees_)
         Xte = rng.normal(size=(30, 5))
-        assert np.array_equal(model.predict(Xte), model._predict_loop(Xte))
+        assert np.array_equal(model.predict(Xte), _predict_loop(model, Xte))
 
 
 class TestObliviousParity:
@@ -111,7 +136,7 @@ class TestObliviousParity:
             n_estimators=12, depth=depth, random_state=0
         ).fit(Xtr, ytr)
         assert isinstance(model.compiled_, CompiledObliviousTables)
-        assert np.array_equal(model.predict(Xte), model._predict_loop(Xte))
+        assert np.array_equal(model.predict(Xte), _predict_loop(model, Xte))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_ensembles_quantile_objective(self, rng, seed):
@@ -121,7 +146,7 @@ class TestObliviousParity:
             n_estimators=15, quantile=0.9, random_state=seed
         ).fit(X, y)
         Xte = rng.normal(size=(40, 7))
-        assert np.array_equal(model.predict(Xte), model._predict_loop(Xte))
+        assert np.array_equal(model.predict(Xte), _predict_loop(model, Xte))
 
     def test_staged_predict_bit_identical(self, regression_data):
         Xtr, ytr, Xte = regression_data
@@ -129,7 +154,7 @@ class TestObliviousParity:
             n_estimators=10, random_state=0
         ).fit(Xtr, ytr)
         stages = model.staged_predict(Xte)
-        assert np.array_equal(stages, model._staged_predict_loop(Xte))
+        assert np.array_equal(stages, _staged_predict_loop(model, Xte))
         assert np.array_equal(stages[-1], model.predict(Xte))
 
     def test_tree_values_columns_match_per_tree_predict(self, regression_data):
@@ -190,7 +215,7 @@ class TestDepthZeroTables:
         assert all(tree.features.size == 0 for tree in model.trees_)
         Xte = rng.normal(size=(20, 4))
         prediction = model.predict(Xte)
-        assert np.array_equal(prediction, model._predict_loop(Xte))
+        assert np.array_equal(prediction, _predict_loop(model, Xte))
         np.testing.assert_allclose(prediction, 3.25)
 
     def test_compiled_depth_zero_ensemble(self):
@@ -305,24 +330,77 @@ class TestCompileValidation:
         assert summary["n_leaves"] == 2 ** summary["depth"]
 
 
-class TestEnsureCompiled:
-    def test_upgrades_stripped_model_and_restores_fast_path(self, rng):
+def _fit_family(family, X, y, **kwargs):
+    if family == "depthwise":
+        return GradientBoostingRegressor(random_state=0, **kwargs).fit(X, y)
+    return ObliviousBoostingRegressor(random_state=0, **kwargs).fit(X, y)
+
+
+def _fit_boosted_flow(X, y):
+    from repro.robust import RobustVminFlow
+
+    return RobustVminFlow(
+        base_model=ObliviousBoostingRegressor(
+            n_estimators=10, quantile=0.5, random_state=0
+        ),
+        alpha=0.1,
+        random_state=0,
+    ).fit(X, y)
+
+
+class TestPreKernelBundles:
+    @pytest.mark.parametrize("family", ["depthwise", "oblivious"])
+    def test_unpickling_compiles_stripped_model(self, rng, family):
         X = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
-        model = ObliviousBoostingRegressor(
-            n_estimators=5, random_state=0
-        ).fit(X, y)
-        reference = model.predict(X)
+        model = _fit_family(family, X, y, n_estimators=6, quantile=0.9)
+        Xte = rng.normal(size=(25, 4))
+        reference = model.predict(Xte)
+        reference_stages = model.staged_predict(Xte)
+        kernel_type = type(model.compiled_)
         _strip_compiled(model)
-        assert ensure_compiled(model) == 1
-        assert np.array_equal(model.predict(X), reference)
-        # Idempotent: a second pass finds nothing to do.
-        assert ensure_compiled(model) == 0
+        assert not hasattr(model, "compiled_")
+        restored = pickle.loads(pickle.dumps(model))
+        assert isinstance(restored.compiled_, kernel_type)
+        assert np.array_equal(restored.predict(Xte), reference)
+        assert np.array_equal(restored.staged_predict(Xte), reference_stages)
 
+    def test_copies_of_compiled_and_unfitted_models_round_trip(self, rng):
+        X = rng.normal(size=(40, 3))
+        model = _fit_family("oblivious", X, rng.normal(size=40), n_estimators=3)
+        kernel = copy.deepcopy(model).compiled_
+        assert np.array_equal(kernel.leaf_values, model.compiled_.leaf_values)
+        unfitted = pickle.loads(pickle.dumps(GradientBoostingRegressor()))
+        assert unfitted.trees_ is None
+        assert not hasattr(unfitted, "compiled_")
+
+    def test_stripped_registry_bundle_serves_identical_intervals(
+        self, rng, tmp_path
+    ):
+        from repro.serve import ModelRegistry, ServiceState, VminServingService
+
+        X = rng.normal(size=(160, 8))
+        y = X @ rng.normal(size=8) + rng.normal(scale=0.4, size=160)
+        flow = _fit_boosted_flow(X[:120], y[:120])
+        Xte = X[120:]
+        registry = ModelRegistry(tmp_path / "registry")
+        record = registry.publish(_strip_compiled(copy.deepcopy(flow)))
+        assert record.manifest["compiled"] == []
+        service = VminServingService(registry)
+        assert service.start() is ServiceState.READY
+        served = service.score(Xte).prediction.intervals
+        expected = flow.predict_interval(Xte).intervals
+        assert len(compiled_summary(service.served_model)) >= 2
+        assert np.array_equal(served.lower, expected.lower)
+        assert np.array_equal(served.upper, expected.upper)
+
+
+class TestCompiledSummary:
     def test_safe_on_arbitrary_objects(self):
-        assert ensure_compiled({"not": "a model"}) == 0
-        assert ensure_compiled(None) == 0
+        assert compiled_summary({"not": "a model"}) == []
+        assert compiled_summary(None) == []
         assert compiled_summary("just a string") == []
+        assert compiled_summary(GradientBoostingRegressor()) == []
 
     def test_summary_lists_every_ensemble_in_flow(self, rng):
         from repro.robust import RobustVminFlow
@@ -345,26 +423,18 @@ class TestEnsureCompiled:
 
 
 class TestEndToEndCQRParity:
-    def test_flow_intervals_identical_with_and_without_kernel(self, rng):
-        from repro.robust import RobustVminFlow
-
+    def test_flow_intervals_identical_to_per_tree_oracle(self, rng, monkeypatch):
         X = rng.normal(size=(160, 8))
         w = rng.normal(size=8)
         y = X @ w + rng.normal(scale=0.4, size=160)
-        flow = RobustVminFlow(
-            base_model=ObliviousBoostingRegressor(
-                n_estimators=10, quantile=0.5, random_state=0
-            ),
-            alpha=0.1,
-            random_state=0,
-        ).fit(X[:120], y[:120])
+        flow = _fit_boosted_flow(X[:120], y[:120])
         Xte = X[120:]
         compiled = flow.predict_interval(Xte)
-        _strip_compiled(flow)
-        loop = flow.predict_interval(Xte)
+        monkeypatch.setattr(ObliviousBoostingRegressor, "predict", _predict_loop)
+        oracle = flow.predict_interval(Xte)
         assert np.array_equal(
-            compiled.intervals.lower, loop.intervals.lower
+            compiled.intervals.lower, oracle.intervals.lower
         )
         assert np.array_equal(
-            compiled.intervals.upper, loop.intervals.upper
+            compiled.intervals.upper, oracle.intervals.upper
         )

@@ -6,6 +6,7 @@ deadline/retry handling of transient scoring faults, and the label
 feedback loop driving READY <-> DEGRADED.
 """
 
+import sys
 import threading
 import time
 
@@ -244,6 +245,87 @@ class TestAdmissionControl:
             ServingConfig(queue_timeout_s=-1.0)
         with pytest.raises(ValueError, match="deadline_s"):
             ServingConfig(deadline_s=0.0)
+
+
+def _recording(ids, lock, fail_ids=()):
+    """Task wrapper recording every request id a scoring attempt gets."""
+
+    def wrap(fn):
+        def worker(request_id):
+            with lock:
+                ids.append(request_id)
+            if request_id in fail_ids:
+                raise RuntimeError(f"injected failure for {request_id}")
+            return fn(request_id)
+
+        return worker
+
+    return wrap
+
+
+class TestRequestIds:
+    def test_serial_ids_count_served_and_rejected_requests(self, tmp_path, lot):
+        flow, Xh, _ = lot
+        ids = []
+        service = _service(
+            tmp_path, flow, task_wrapper=_recording(ids, threading.Lock(), {2})
+        )
+        with pytest.raises(RejectedRequest, match="not accepting"):
+            service.score(Xh[:1])  # not started: rejected, takes id 0
+        service.start()
+        service.score(Xh[:1])
+        with pytest.raises(RuntimeError, match="injected"):
+            service.score(Xh[:1])
+        service.score(Xh[:1])
+        assert ids == [1, 2, 3]
+        assert (service.n_served_, service.n_rejected_) == (2, 2)
+
+    def test_concurrent_scores_get_unique_ids_and_all_are_counted(
+        self, tmp_path, lot
+    ):
+        flow, Xh, _ = lot
+        ids = []
+        lock = threading.Lock()
+        service = _service(
+            tmp_path,
+            flow,
+            config=ServingConfig(max_in_flight=8),
+            task_wrapper=_recording(ids, lock),
+        )
+        service.start()
+        n_threads, n_calls = 8, 200
+        errors = []
+
+        def load(offset):
+            for call in range(n_calls):
+                row = (offset + call) % Xh.shape[0]
+                try:
+                    service.score(Xh[row : row + 1])
+                except (Overloaded, RejectedRequest):
+                    pass
+                except Exception as error:  # pragma: no cover - reported below
+                    errors.append(error)
+
+        threads = [
+            threading.Thread(target=load, args=(index * n_calls,))
+            for index in range(n_threads)
+        ]
+        # Switch threads often so scoring calls genuinely interleave.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(ids) == len(set(ids)), "duplicate request ids"
+        submitted = n_threads * n_calls
+        counted = service.n_served_ + service.n_rejected_ + service.n_overloaded_
+        assert counted == submitted
+        assert len(ids) == service.n_served_ + service.n_rejected_
 
 
 class TestHotSwap:

@@ -14,12 +14,14 @@ monitoring, so that
 ``predict_interval`` therefore returns a structured
 :class:`~repro.robust.fallback.DegradedPrediction` -- never an
 exception for value-level input damage -- and ``observe`` closes the
-loop when ground-truth Vmin measurements trickle back from the ATE.
+loop when ground-truth Vmin measurements trickle back from the ATE,
+returning one :class:`LabelFeedback` record per label batch.
 """
 
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +43,7 @@ from repro.robust.monitoring import CoverageAlarm, CoverageMonitor
 from repro.shift.weighted import WeightedBandCalibrator
 from repro.shift.weights import LogisticDensityRatio
 
-__all__ = ["RobustVminFlow"]
+__all__ = ["LabelFeedback", "RobustVminFlow"]
 
 
 def _validate_columns(
@@ -56,6 +58,31 @@ def _validate_columns(
             f"[{cols.min()}, {cols.max()}]"
         )
     return cols
+
+
+@dataclass(frozen=True)
+class LabelFeedback:
+    """One label batch as :meth:`RobustVminFlow.observe` processed it.
+
+    Attributes
+    ----------
+    X, X_clean:
+        The structurally validated raw batch, and its sanitized copy.
+    y:
+        The measured labels.
+    prediction:
+        What was served for ``X`` *before* these labels were absorbed.
+    covered, alarm:
+        Per-chip hit (``True``) or miss of ``prediction`` against ``y``,
+        and the coverage alarm the batch fired, if any.
+    """
+
+    X: np.ndarray
+    X_clean: np.ndarray
+    y: np.ndarray
+    prediction: DegradedPrediction
+    covered: np.ndarray
+    alarm: Optional[CoverageAlarm] = None
 
 
 class RobustVminFlow:
@@ -226,7 +253,6 @@ class RobustVminFlow:
         self.recalibrations_ = 0
         self._adaptive_active = False
         self.weighted_: Optional[WeightedBandCalibrator] = None
-        self._weighted_active = False
         return self
 
     # -- serving ---------------------------------------------------------------
@@ -246,11 +272,9 @@ class RobustVminFlow:
         return X
 
     def _sanitize(self, X: np.ndarray) -> Tuple[np.ndarray, HealthReport]:
-        """Health-assess and impute a batch; only structural errors raise."""
-        X = self._validate_structure(X)
+        """Health-assess and impute a structurally validated batch."""
         report = self.guard_.assess(X)
-        clean = self.imputer_.transform(X, stuck=report.stuck)
-        return clean, report
+        return self.imputer_.transform(X, stuck=report.stuck), report
 
     def _empty_prediction(self) -> DegradedPrediction:
         """The structured no-op answer for a zero-chip batch.
@@ -285,13 +309,13 @@ class RobustVminFlow:
     def weighted_active(self) -> bool:
         """True while weighted (covariate-shift-repaired) margins serve."""
         check_fitted(self, "primary_")
-        return self._weighted_active
+        return self.weighted_ is not None
 
     def _primary_intervals(self, X_clean: np.ndarray):
         # Weighted repair outranks the adaptive path: it is an explicit,
         # audited operator action targeting a diagnosed covariate shift,
         # whereas adaptation is the blind feedback controller.
-        if self._weighted_active:
+        if self.weighted_ is not None:
             return self.weighted_.predict_interval(X_clean)
         if self._adaptive_active:
             return self.adaptive_.predict_interval(X_clean)
@@ -324,29 +348,18 @@ class RobustVminFlow:
             )
         return np.array(features)
 
-    def conformity_scores(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """CQR conformity scores of labelled chips against the reference band.
+    def conformity_scores(self, feedback: LabelFeedback) -> np.ndarray:
+        """CQR conformity scores of an observed label batch.
 
         Always scored against the *primary* band -- never the adaptive
         or weighted variants -- because the exchangeability sentinel
         compares against calibration scores from that same band; mixing
         bands would alarm on our own recalibration instead of on the
-        data.
+        data.  Reads the batch :meth:`observe` already sanitized.
         """
         check_fitted(self, "primary_")
-        y = np.asarray(y, dtype=np.float64)
-        if y.ndim != 1:
-            raise ValueError(f"y must be 1-D, got shape {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y contains NaN or infinite values")
-        X_clean, _ = self._sanitize(X)
-        if X_clean.shape[0] != y.shape[0]:
-            raise ValueError(
-                f"X and y have inconsistent lengths: {X_clean.shape[0]} vs "
-                f"{y.shape[0]}"
-            )
-        lower, upper = self.primary_.cqr_.band_.predict_interval(X_clean)
-        return cqr_score(y, lower, upper)
+        lower, upper = self.primary_.cqr_.band_.predict_interval(feedback.X_clean)
+        return cqr_score(feedback.y, lower, upper)
 
     def recalibrate_weighted(
         self,
@@ -383,8 +396,7 @@ class RobustVminFlow:
             Unfitted ratio template (deep-copied); default-configured
             :class:`~repro.shift.LogisticDensityRatio` when ``None``.
         """
-        check_fitted(self, "primary_")
-        X_clean, _ = self._sanitize(X_recent)
+        X_clean, _ = self._sanitize(self._validate_structure(X_recent))
         if X_clean.shape[0] < 2:
             raise ValueError(
                 f"X_recent needs at least 2 rows, got {X_clean.shape[0]}"
@@ -412,7 +424,6 @@ class RobustVminFlow:
             min_ess=min_ess,
         )
         self.weighted_ = calibrator
-        self._weighted_active = True
         self.recalibrations_ += 1
         return calibrator.ess_
 
@@ -420,7 +431,6 @@ class RobustVminFlow:
         """Return serving to the unweighted margins (e.g. after a refit)."""
         check_fitted(self, "primary_")
         self.weighted_ = None
-        self._weighted_active = False
 
     def predict_interval(self, X: np.ndarray) -> DegradedPrediction:
         """Serve calibrated intervals with graceful degradation.
@@ -437,7 +447,10 @@ class RobustVminFlow:
         X = self._validate_structure(X)
         if X.shape[0] == 0:
             return self._empty_prediction()
-        X_clean, report = self._sanitize(X)
+        return self._serve(*self._sanitize(X))
+
+    def _serve(self, X_clean: np.ndarray, report: HealthReport) -> DegradedPrediction:
+        """Pick the serving path and inflation for a sanitized batch."""
         # Column-level damage misses row-level faults (a dropped record
         # NaNs every feature of one chip without killing any column), so
         # degradation is charged on the worse of the two views.
@@ -482,7 +495,7 @@ class RobustVminFlow:
                     f"{overall:.0%} of features imputed; interval widened "
                     f"{inflation:.2f}x"
                 )
-        if self._weighted_active and not used_fallback:
+        if self.weighted_ is not None and not used_fallback:
             notes.append(
                 "weighted shift repair active "
                 f"(ESS={self.weighted_.ess_:.1f})"
@@ -507,18 +520,18 @@ class RobustVminFlow:
         return self.predict_interval(X).intervals.midpoint
 
     # -- the feedback loop -----------------------------------------------------
-    def observe(self, X: np.ndarray, y: np.ndarray) -> Optional[CoverageAlarm]:
+    def observe(self, X: np.ndarray, y: np.ndarray) -> LabelFeedback:
         """Stream measured Vmin labels back into the serving stack.
 
-        Re-serves ``X`` exactly as :meth:`predict_interval` would,
-        scores the outcomes against ``y``, and feeds the rolling
-        coverage monitor.  On an alarm, serving switches permanently to
-        the adaptive (Gibbs-Candès) margins and every subsequent
+        Serves ``X`` exactly as :meth:`predict_interval` would, scores
+        the outcomes against ``y``, and feeds the rolling coverage
+        monitor.  On an alarm, serving switches permanently to the
+        adaptive (Gibbs-Candès) margins and every subsequent
         observation updates them -- online recalibration.  Returns the
-        alarm fired by this batch, if any.  A zero-label batch is a
-        no-op (returns ``None`` without touching monitor or
-        recalibrator state) -- the serving layer's label feedback can
-        legitimately deliver nothing.
+        batch's :class:`LabelFeedback`, which downstream monitors read
+        instead of re-serving.  A zero-label batch is a no-op (no alarm;
+        monitor and recalibrator untouched) -- the serving layer's
+        label feedback can legitimately deliver nothing.
         """
         check_fitted(self, "primary_")
         y = np.asarray(y, dtype=np.float64)
@@ -533,17 +546,19 @@ class RobustVminFlow:
                 f"{y.shape[0]}"
             )
         if y.shape[0] == 0:
-            return None
-        prediction = self.predict_interval(X)
+            return LabelFeedback(
+                X, X, y, self._empty_prediction(), np.zeros(0, dtype=bool)
+            )
+        X_clean, report = self._sanitize(X)
+        prediction = self._serve(X_clean, report)
         covered = prediction.intervals.contains(y)
         alarm = self.monitor_.update(covered)
         if alarm is not None:
             self._adaptive_active = True
             self.recalibrations_ += 1
         if self._adaptive_active:
-            X_clean, _ = self._sanitize(X)
             self.adaptive_.update(X_clean, y)
-        return alarm
+        return LabelFeedback(X, X_clean, y, prediction, covered, alarm)
 
     def rolling_coverage(self) -> float:
         """Rolling empirical coverage over the observation window."""

@@ -572,30 +572,28 @@ class VminServingService:
         its own reason code, and a new wafer-zone coverage alarm is
         recorded as an audited ``COVERAGE_ALARM`` note (``zones``
         labels each chip with its wafer zone; ``None`` skips the
-        per-zone monitors).  The sentinels see the batch before the
-        flow's monitor does, so the zone monitors and the flow's monitor
-        judge the same served interval.  Returns the coverage alarm
-        fired by this batch, if any.  Zero labels are a no-op, mirroring
-        the flow contract.
+        per-zone monitors; a wrong-length one raises before any state
+        changes).  The sentinels read the flow's
+        :class:`~repro.robust.flow.LabelFeedback`, so every monitor
+        judges the one served interval.  Returns the coverage alarm
+        fired by this batch, if any.  Zero labels are a no-op.
         """
         with self._lock:
             model = self._model
         if model is None:
             raise RejectedRequest("no servable model to observe labels on")
-        was_alarmed = self._coverage_alarmed()
-        verdict: Optional[ShiftVerdict] = None
         guard = self.shift_guard
-        if (
-            guard is not None
-            and guard.armed
-            and isinstance(model, RobustVminFlow)
-            and np.asarray(y).shape[0] > 0
-        ):
-            # The guard goes first: its zone monitors must judge the
-            # interval that was served, before the flow's adaptive
-            # update absorbs these very labels.
-            verdict = guard.observe(model, X, y, zones=zones)
-        alarm = model.observe(X, y)
+        guarded = (
+            isinstance(model, RobustVminFlow) and guard is not None and guard.armed
+        )
+        if guarded and zones is not None:
+            ShiftGuard.check_zones(zones, np.size(y))
+        was_alarmed = self._coverage_alarmed()
+        feedback = model.observe(X, y)
+        alarm = feedback.alarm
+        verdict: Optional[ShiftVerdict] = None
+        if guarded and feedback.y.shape[0] > 0:
+            verdict = guard.observe(model, feedback, zones=zones)
         with self._lock:
             if alarm is not None and self.health.state is ServiceState.READY:
                 self.health.transition(
@@ -630,38 +628,25 @@ class VminServingService:
         batch would otherwise re-log the same event).
         """
         previous = self.last_shift_verdict_
-        if verdict.exchangeability_alarm and not (
-            previous is not None and previous.exchangeability_alarm
+        for flag, sentinel, reason in (
+            (
+                "exchangeability_alarm",
+                guard.martingale_,
+                ReasonCode.EXCHANGEABILITY_ALARM,
+            ),
+            ("covariate_alarm", guard.detector_, ReasonCode.COVARIATE_SHIFT),
         ):
+            if not getattr(verdict, flag) or getattr(previous, flag, False):
+                continue
             detail = (
-                guard.martingale_.alarms_[-1].describe()
-                if guard.martingale_ is not None and guard.martingale_.alarms_
+                sentinel.alarms_[-1].describe()
+                if sentinel is not None and sentinel.alarms_
                 else verdict.describe()
             )
             if self.health.state is ServiceState.READY:
-                self.health.transition(
-                    ServiceState.DEGRADED,
-                    ReasonCode.EXCHANGEABILITY_ALARM,
-                    detail,
-                )
+                self.health.transition(ServiceState.DEGRADED, reason, detail)
             else:
-                self.health.note(ReasonCode.EXCHANGEABILITY_ALARM, detail)
-        if verdict.covariate_alarm and not (
-            previous is not None and previous.covariate_alarm
-        ):
-            detail = (
-                guard.detector_.alarms_[-1].describe()
-                if guard.detector_ is not None and guard.detector_.alarms_
-                else verdict.describe()
-            )
-            if self.health.state is ServiceState.READY:
-                self.health.transition(
-                    ServiceState.DEGRADED,
-                    ReasonCode.COVARIATE_SHIFT,
-                    detail,
-                )
-            else:
-                self.health.note(ReasonCode.COVARIATE_SHIFT, detail)
+                self.health.note(reason, detail)
         known = set(previous.zone_alarms) if previous is not None else set()
         fresh = sorted(set(verdict.zone_alarms) - known)
         if fresh:

@@ -18,10 +18,11 @@ has been quietly under-covering for a window's worth of chips.  The
 :class:`ShiftGuard` bundles both, plus per-wafer-zone (Mondrian)
 :class:`~repro.robust.monitoring.CoverageMonitor` instances, behind one
 ``arm``/``observe`` interface that
-:class:`~repro.serve.service.VminServingService` drives from its label
-feedback loop.  Every :meth:`ShiftGuard.observe` returns a
-:class:`ShiftVerdict`; the service maps new alarms onto audited
-``EXCHANGEABILITY_ALARM`` / ``COVARIATE_SHIFT`` health transitions.
+:class:`~repro.serve.service.VminServingService` drives with the
+:class:`~repro.robust.flow.LabelFeedback` of each label batch.  Every
+:meth:`ShiftGuard.observe` returns a :class:`ShiftVerdict`; the service
+maps new alarms onto audited ``EXCHANGEABILITY_ALARM`` /
+``COVARIATE_SHIFT`` health transitions.
 
 The sentinels' references come from the served flow itself (its frozen
 calibration scores and features), so re-arming after a hot-swap
@@ -42,7 +43,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.robust.flow import RobustVminFlow
+from repro.robust.flow import LabelFeedback, RobustVminFlow
 from repro.robust.monitoring import CoverageMonitor
 from repro.shift import ConformalTestMartingale, CovariateShiftDetector
 
@@ -208,46 +209,44 @@ class ShiftGuard:
         self._columns = None
         self._target = None
 
+    @staticmethod
+    def check_zones(zones: Sequence, n_labels: int) -> np.ndarray:
+        """``zones`` as an array, or ``ValueError`` unless one per label."""
+        zone_labels = np.asarray(zones)
+        if zone_labels.shape[0] != n_labels:
+            raise ValueError(
+                f"zones has {zone_labels.shape[0]} entries for {n_labels} labels"
+            )
+        return zone_labels
+
     def observe(
         self,
         flow: RobustVminFlow,
-        X: np.ndarray,
-        y: np.ndarray,
+        feedback: LabelFeedback,
         zones: Optional[Sequence] = None,
     ) -> ShiftVerdict:
-        """Stream one labelled batch through every sentinel.
+        """Stream one observed label batch through every sentinel.
 
-        Feeds the conformity scores of ``(X, y)`` to the martingale, the
-        watched feature columns to the covariate detector (rows with
+        ``feedback`` is what ``flow.observe`` returned for the batch.
+        Feeds its primary-band conformity scores to the martingale, the
+        watched raw feature columns to the covariate detector (rows with
         damaged values in those columns are skipped -- data health is
         the flow guard's jurisdiction, not a distribution question), and
         -- when ``zones`` labels each chip with its wafer zone -- the
         served interval's hit/miss outcome to that zone's Mondrian
-        coverage monitor.  Returns the post-batch :class:`ShiftVerdict`.
-
-        Call it *before* ``flow.observe`` on the same batch: the zone
-        monitors re-serve ``X``, and once the flow's adaptive
-        recalibration is active its update would already have absorbed
-        ``y`` into the interval they judge.
+        coverage monitor.  A ``zones`` of the wrong length raises before
+        any sentinel moves.  Returns the post-batch :class:`ShiftVerdict`.
         """
         if not self.armed:
             raise RuntimeError("shift guard is not armed")
-        scores = flow.conformity_scores(X, y)
-        self.martingale_.observe(scores)
-        rows = np.asarray(X, dtype=np.float64)[:, self._columns]
+        n_labels = int(feedback.y.shape[0])
+        zone_labels = None if zones is None else self.check_zones(zones, n_labels)
+        self.martingale_.observe(flow.conformity_scores(feedback))
+        rows = feedback.X[:, self._columns]
         finite = np.all(np.isfinite(rows), axis=1)
         if np.any(finite):
             self.detector_.observe(rows[finite])
-        if zones is not None:
-            labels = np.asarray(y, dtype=np.float64)
-            zone_labels = np.asarray(zones)
-            if zone_labels.shape[0] != labels.shape[0]:
-                raise ValueError(
-                    f"zones has {zone_labels.shape[0]} entries for "
-                    f"{labels.shape[0]} labels"
-                )
-            prediction = flow.predict_interval(X)
-            contains = prediction.intervals.contains(labels)
+        if zone_labels is not None:
             for zone in np.unique(zone_labels):
                 monitor = self.zone_monitors_.get(str(zone))
                 if monitor is None:
@@ -258,8 +257,8 @@ class ShiftGuard:
                         min_observations=self.zone_min_observations,
                     )
                     self.zone_monitors_[str(zone)] = monitor
-                monitor.update(contains[zone_labels == zone])
-        self.n_observed_ += int(scores.shape[0])
+                monitor.update(feedback.covered[zone_labels == zone])
+        self.n_observed_ += n_labels
         return self.verdict()
 
     def verdict(self) -> ShiftVerdict:

@@ -26,6 +26,29 @@ def small_lot() -> SiliconDataset:
 
 
 @pytest.fixture()
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` counts calls to ``owner.name``.
+
+    Each call wraps one attribute for the test's duration and returns
+    the shared tally, a dict from attribute name to calls so far.
+    """
+    tally = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+        tally[name] = 0
+
+        def counted(*args, **kwargs):
+            tally[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return tally
+
+    return count
+
+
+@pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
 

@@ -211,7 +211,7 @@ class TestServingEdgeCases:
         X, y = _make_data(seed=5)
         flow = _fit_flow(X, y)
         before = flow.monitor_.n_observed
-        assert flow.observe(np.empty((0, D)), np.empty(0)) is None
+        assert flow.observe(np.empty((0, D)), np.empty(0)).alarm is None
         assert flow.monitor_.n_observed == before
         assert flow.recalibrations_ == 0
         assert not flow.adaptive_active
@@ -223,7 +223,8 @@ class TestObserveAndRecalibration:
         flow = _fit_flow(X, y, monitor_min_observations=10, monitor_window=20)
         Xh, yh = X[N_TRAIN:], y[N_TRAIN:]
         for start in range(0, 100, 10):
-            assert flow.observe(Xh[start : start + 10], yh[start : start + 10]) is None
+            feedback = flow.observe(Xh[start : start + 10], yh[start : start + 10])
+            assert feedback.alarm is None
         assert flow.alarms_ == []
         assert not flow.adaptive_active
         assert flow.rolling_coverage() >= 0.8
@@ -238,7 +239,7 @@ class TestObserveAndRecalibration:
         width_before = flow.predict_interval(Xh).mean_width
         alarms = []
         for start in range(0, 200, 10):
-            alarm = flow.observe(Xh[start : start + 10], yh[start : start + 10])
+            alarm = flow.observe(Xh[start : start + 10], yh[start : start + 10]).alarm
             if alarm is not None:
                 alarms.append(alarm)
         assert alarms, "coverage monitor never alarmed under a 2 V shift"
@@ -252,6 +253,36 @@ class TestObserveAndRecalibration:
         assert any("recalibration" in note for note in after.notes)
         # Recalibration must actually win coverage back on the shifted stream.
         assert flow.rolling_coverage() >= 0.6
+
+    def test_feedback_records_the_interval_served_before_the_labels(self):
+        X, y = _make_data(seed=17)
+        flow = _fit_flow(X, y, monitor_min_observations=10, monitor_window=20)
+        Xh, yh = X[N_TRAIN : N_TRAIN + 40], y[N_TRAIN : N_TRAIN + 40] + 2.0
+        Xh[0, MONITORS[0]] = np.nan
+        served = flow.predict_interval(Xh)
+        feedback = flow.observe(Xh, yh)
+        assert feedback.alarm is not None and flow.adaptive_active
+        np.testing.assert_array_equal(feedback.prediction.lower, served.lower)
+        np.testing.assert_array_equal(feedback.prediction.upper, served.upper)
+        np.testing.assert_array_equal(feedback.covered, served.intervals.contains(yh))
+        assert np.isnan(feedback.X[0, MONITORS[0]])
+        assert np.all(np.isfinite(feedback.X_clean))
+        np.testing.assert_array_equal(feedback.y, yh)
+        # The adaptive update moved serving on from the recorded interval.
+        assert not np.array_equal(flow.predict_interval(Xh).upper, served.upper)
+
+    @pytest.mark.parametrize("method", ["predict_interval", "observe"])
+    def test_each_batch_is_validated_and_sanitized_once(self, method, count_calls):
+        X, y = _make_data(seed=19)
+        flow = _fit_flow(X, y)
+        flow.observe(X[N_TRAIN : N_TRAIN + 100], y[N_TRAIN : N_TRAIN + 100] + 2.0)
+        assert flow.adaptive_active
+        count_calls(flow, "_validate_structure")
+        calls = count_calls(flow, "_sanitize")
+        Xh, yh = X[N_TRAIN + 100 :], y[N_TRAIN + 100 :]
+        args = (Xh, yh) if method == "observe" else (Xh,)
+        getattr(flow, method)(*args)
+        assert calls == {"_validate_structure": 1, "_sanitize": 1}
 
     def test_observe_validates_labels(self):
         X, y = _make_data(seed=31)

@@ -1,14 +1,18 @@
 """Tests for the checksum-verified model registry.
 
-The registry accepts any picklable object, so these tests publish small
-plain dictionaries -- the verification, quarantine, and pointer
-semantics are model-agnostic.
+The registry accepts any picklable object, so these tests mostly publish
+small plain dictionaries -- the verification, quarantine, and pointer
+semantics are model-agnostic.  :class:`TestLegacyFlowBundles` round-trips
+a real flow pickled in an older attribute layout.
 """
 
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.models import QuantileLinearRegression
+from repro.robust import RobustVminFlow
 from repro.runtime.artifacts import (
     ArtifactCorruptionError,
     ArtifactError,
@@ -20,6 +24,7 @@ from repro.serve import (
     ModelVersion,
     RegistryError,
 )
+from repro.shift import LogisticDensityRatio
 
 
 def _corrupt_bundle(registry, name):
@@ -202,3 +207,34 @@ class TestErrorHierarchy:
         record = registry.publish({"inspect": True})
         raw = (record.path / "bundle.pkl").read_bytes()
         assert pickle.loads(raw) == {"inspect": True}
+
+
+class TestLegacyFlowBundles:
+    @pytest.mark.parametrize("repaired", [False, True])
+    def test_flow_with_weighted_active_flag_loads_and_serves(self, tmp_path, repaired):
+        """Flows pickled while a ``_weighted_active`` flag shadowed
+        ``weighted_`` still load, report and serve their repair state."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(460, 12))
+        y = X @ np.linspace(-1.0, 2.0, 12) + rng.normal(scale=0.5, size=460)
+        flow = RobustVminFlow(
+            base_model=QuantileLinearRegression(), alpha=0.1, random_state=0
+        ).fit(X[:400], y[:400], monitor_columns=range(4, 12))
+        if repaired:
+            X_shift = X[400:].copy()
+            X_shift[:, 4:] += 0.4
+            flow.recalibrate_weighted(
+                X_shift,
+                ratio_estimator=LogisticDensityRatio(ridge=4.0, random_state=0),
+            )
+        flow._weighted_active = repaired
+        registry = ModelRegistry(tmp_path)
+        registry.publish(flow)
+        loaded, _ = registry.load()
+        assert loaded.weighted_active is repaired
+        served = loaded.predict_interval(X[400:])
+        expected = flow.predict_interval(X[400:])
+        np.testing.assert_array_equal(served.upper, expected.upper)
+        assert any("weighted" in note for note in served.notes) is repaired
+        loaded.reset_weighted()
+        assert not loaded.weighted_active

@@ -1,5 +1,6 @@
 """Tests for the serving-side shift guard and its service integration."""
 
+import copy
 import time
 
 import numpy as np
@@ -50,6 +51,11 @@ def lot():
     return flow, X[N_TRAIN:], y[N_TRAIN:]
 
 
+def _feedback(flow, X, y):
+    """``observe`` on a copy of ``flow``: the module fixture stays read-only."""
+    return copy.deepcopy(flow).observe(X, y)
+
+
 def _service(tmp_path, flow, guard):
     registry = ModelRegistry(tmp_path / "registry")
     registry.publish(flow)
@@ -81,7 +87,7 @@ class TestShiftGuardUnit:
         flow, Xh, yh = lot
         guard = ShiftGuard()
         with pytest.raises(RuntimeError, match="not armed"):
-            guard.observe(flow, Xh[:10], yh[:10])
+            guard.observe(flow, _feedback(flow, Xh[:10], yh[:10]))
         with pytest.raises(RuntimeError, match="not armed"):
             guard.verdict()
 
@@ -95,7 +101,7 @@ class TestShiftGuardUnit:
     def test_quiet_on_exchangeable_traffic(self, lot):
         flow, Xh, yh = lot
         guard = ShiftGuard().arm(flow)
-        verdict = guard.observe(flow, Xh[:150], yh[:150])
+        verdict = guard.observe(flow, _feedback(flow, Xh[:150], yh[:150]))
         assert not verdict.any_alarm()
         assert verdict.n_observed == 150
         assert "quiet" in verdict.describe()
@@ -103,7 +109,7 @@ class TestShiftGuardUnit:
     def test_martingale_fires_on_label_shift(self, lot):
         flow, Xh, yh = lot
         guard = ShiftGuard().arm(flow)
-        verdict = guard.observe(flow, Xh[:200], yh[:200] + 5.0)
+        verdict = guard.observe(flow, _feedback(flow, Xh[:200], yh[:200] + 5.0))
         assert verdict.exchangeability_alarm
         assert "exchangeability rejected" in verdict.describe()
 
@@ -113,7 +119,7 @@ class TestShiftGuardUnit:
         X_shift = Xh[:100].copy()
         X_shift[:, MONITORS] += 3.0
         y_shift = yh[:100]
-        verdict = guard.observe(flow, X_shift, y_shift)
+        verdict = guard.observe(flow, _feedback(flow, X_shift, y_shift))
         assert verdict.covariate_alarm
 
     def test_zone_monitors_flag_the_undercovering_zone(self, lot):
@@ -125,15 +131,26 @@ class TestShiftGuardUnit:
         # Push only the "inner" chips out of their intervals.
         y_bad = yh[:120].copy()
         y_bad[zones == "inner"] += 5.0
-        verdict = guard.observe(flow, Xh[:120], y_bad, zones=zones)
+        verdict = guard.observe(flow, _feedback(flow, Xh[:120], y_bad), zones=zones)
         assert verdict.zone_alarms == ("inner",)
         coverage = guard.zone_coverage()
         assert coverage["inner"] < coverage["outer"]
 
+    def test_rejected_zones_leave_the_sentinels_untouched(self, lot):
+        flow, Xh, yh = lot
+        guard = ShiftGuard().arm(flow)
+        feedback = _feedback(flow, Xh[:50], yh[:50])
+        with pytest.raises(ValueError, match="zones has 10 entries for 50 labels"):
+            guard.observe(flow, feedback, zones=np.full(10, "edge"))
+        assert guard.martingale_.log10_history_ == []
+        assert guard.detector_.n_observed_ == 0
+        assert guard.zone_monitors_ == {}
+        assert guard.n_observed_ == 0
+
     def test_disarm_and_rearm_reset_state(self, lot):
         flow, Xh, yh = lot
         guard = ShiftGuard().arm(flow)
-        guard.observe(flow, Xh[:200], yh[:200] + 5.0)
+        guard.observe(flow, _feedback(flow, Xh[:200], yh[:200] + 5.0))
         assert guard.verdict().any_alarm()
         guard.disarm()
         assert not guard.armed
@@ -223,6 +240,35 @@ class TestServiceIntegration:
         service.observe(X[probe], y[probe] + 1.0, zones=np.full(batch, "probe"))
         # Both monitors hold exactly this batch's outcomes.
         assert guard.zone_coverage()["probe"] == served.rolling_coverage()
+
+    def test_rejected_zones_change_no_state(self, tmp_path, lot):
+        """A wrong-length ``zones`` must raise before the sentinels or
+        the flow's coverage monitor see any of the batch."""
+        flow, Xh, yh = lot
+        guard = ShiftGuard()
+        _, service = _service(tmp_path, flow, guard)
+        with pytest.raises(ValueError, match="zones has 10 entries for 50 labels"):
+            service.observe(Xh[:50], yh[:50], zones=np.full(10, "edge"))
+        assert guard.martingale_.log10_history_ == []
+        assert guard.detector_.n_observed_ == 0
+        assert guard.n_observed_ == 0
+        assert service.served_model.monitor_.n_observed == 0
+
+    def test_one_pass_per_label_batch(self, tmp_path, lot, count_calls):
+        """A guarded observe with zones on an adaptive flow health-checks,
+        imputes and serves the batch once."""
+        flow, Xh, yh = lot
+        guard = ShiftGuard()
+        _, service = _service(tmp_path, flow, guard)
+        service.observe(Xh[:100], yh[:100] + 5.0)
+        served = service.served_model
+        assert served.adaptive_active and guard.armed
+        count_calls(served.guard_, "assess")
+        count_calls(served.imputer_, "transform")
+        calls = count_calls(served.adaptive_, "predict_interval")
+        service.observe(Xh[100:140], yh[100:140], zones=np.full(40, "probe"))
+        assert calls == {"assess": 1, "transform": 1, "predict_interval": 1}
+        assert "probe" in guard.zone_coverage()
 
     def test_recovery_blocked_while_shift_alarmed(self, tmp_path, lot):
         """Rolling coverage returning to target must NOT re-promote the
